@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from planeprof.analysis.categories import CategoryRules, load_rules
 from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
-from planeprof.instrument.dumpio import Dump, DumpFormatError, read_dump
+from planeprof.instrument.dumpio import Dump, DumpFormatError, read_dump, read_dump_info
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import Recorder, calibrate_clocks
@@ -37,6 +37,7 @@ from planeprof.reporting.tables import (
     write_report,
 )
 from planeprof.testbed.config import ScenarioConfig, ScenarioError, load_scenario
+from planeprof.testbed.entity import EVENT_LEVELS
 from planeprof.testbed.orchestrator import (
     BootstrapTimeout,
     EntitySpawnFailed,
@@ -107,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for stale in (out / "dumps").glob("*.dump"):
         stale.unlink()  # a rerun must not mix with a previous run's dumps
-    recorder = Recorder(enabled=bool(set(levels) & {"function", "line", "thread", "sample"}))
+    recorder = Recorder(enabled=bool(EVENT_LEVELS & set(levels)))
     run_id = f"{config.scenario_id}-seed{config.seed}"
     topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)
     load_report = None
@@ -152,9 +153,9 @@ def _write_run_artifacts(
     breakdowns = {}
     if topo.dumps_dir is not None and topo.dumps_dir.exists():
         for path in sorted(topo.dumps_dir.glob("*.dump")):
-            dump = read_dump(path)
-            if dump.coarse is not None:
-                breakdowns[dump.meta.entity] = dump.coarse
+            info = read_dump_info(path)
+            if info.coarse is not None:
+                breakdowns[info.meta.entity] = info.coarse
     for name, b in coarse.items():
         if b is not None:
             breakdowns[name] = b

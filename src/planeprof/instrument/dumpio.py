@@ -2,7 +2,7 @@
 
 Layout (tab-separated records, one per line, stable field order):
 
-    profile-dump 1
+    profile-dump 2
     run_id <id>
     entity <name>
     role <role>
@@ -21,18 +21,24 @@ Layout (tab-separated records, one per line, stable field order):
     S\t<thread>\t<wall_ns>\t<cpu_ns>\t<frame>|<frame>|...   frame = file:line:symbol
     V\t<thread>\t<wall_ns>\t<file>\t<line>\t<symbol>\t<site kind>\t<detail>
     end_events
+    counts\t<events>\t<violations>     # events = E, X and S records
     coarse\t<elapsed_s>\t<user_s>\t<system_s>
     end_dump
 
 All times are integer nanoseconds except the coarse footer, which keeps
-the float seconds the OS reported.
+the float seconds the OS reported. The coarse line is optional. The
+footer lines have bounded length, so :func:`read_dump_info` reads the
+header and the last few kilobytes and never the event lines.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from planeprof.instrument.events import (
     CodeSite,
@@ -44,10 +50,19 @@ from planeprof.instrument.events import (
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import ClockCalibration
 
-FORMAT_LINE = "profile-dump 1"
+FORMAT_LINE = "profile-dump 2"
 
 _KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X", EventKind.SAMPLE: "S"}
+
+# Room for the footer lines after ``end_events``, whose length is bounded.
+_TAIL_BYTES = 4096
+_END_EVENTS = b"\nend_events\n"
+
+# One (thread id, record tuples) pair per recorder thread log; the tuple
+# layout is the one :meth:`Recorder.records` documents.
+Records = Iterable[Tuple[int, Sequence[tuple]]]
 
 
 class DumpFormatError(Exception):
@@ -77,6 +92,17 @@ class Dump:
     coarse: Optional[CoarseBreakdown] = None
 
 
+@dataclass(frozen=True)
+class DumpInfo:
+    """What a dump's header and footer say, read without its event lines."""
+
+    meta: DumpMeta
+    calibration: ClockCalibration
+    events: int
+    violations: int
+    coarse: Optional[CoarseBreakdown] = None
+
+
 def _clean(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ")
 
@@ -90,6 +116,48 @@ def _parse_frame(text: str) -> CodeSite:
     return CodeSite(file=file, line=int(line), symbol=symbol, kind=SiteKind.FUNCTION)
 
 
+def _format_records(records: Records, lines: List[str]) -> int:
+    """Append one event line per record to ``lines``; return how many.
+
+    This is the only place an event line is formatted. A sample without a
+    stack is skipped: the recorder never keeps one and a reader could not
+    rebuild it.
+    """
+    # Keyed by id(): every site stays referenced by a record for the whole
+    # call, so no id is reused, and id() is far cheaper than hashing a
+    # dataclass. Sampled frames are fresh objects each time, so they are
+    # not cached.
+    site_fields: Dict[int, str] = {}
+    append = lines.append
+    start = len(lines)
+    for thread, recs in records:
+        for rec in recs:
+            code = rec[0]
+            if code == "S":
+                stack = rec[6]
+                if stack:
+                    frames = "|".join([_frame_str(s) for s in stack])
+                    append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
+            else:
+                site = rec[1]
+                text = site_fields.get(id(site))
+                if text is None:
+                    text = site_fields[id(site)] = (
+                        f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
+                        f"\t{_KIND_CODE[site.kind]}"
+                    )
+                append(f"{code}\t{thread}\t{rec[2]}\t{rec[3]}\t{text}\t{rec[4] or '-'}")
+    return len(lines) - start
+
+
+def _records_of(events: Iterable[ProfileEvent]) -> Records:
+    for thread, group in groupby(events, key=attrgetter("thread_id")):
+        yield thread, [
+            (_EVENT_CODE[ev.kind], ev.site, ev.wall_ns, ev.cpu_ns, ev.tag, thread, ev.stack)
+            for ev in group
+        ]
+
+
 def write_dump(
     path: Path | str,
     meta: DumpMeta,
@@ -98,6 +166,19 @@ def write_dump(
     violations: Sequence[NestingViolation] = (),
     coarse: Optional[CoarseBreakdown] = None,
 ) -> Path:
+    """Write a dump of materialized events."""
+    return write_records(path, meta, calibration, _records_of(events), violations, coarse)
+
+
+def write_records(
+    path: Path | str,
+    meta: DumpMeta,
+    calibration: ClockCalibration,
+    records: Records,
+    violations: Sequence[NestingViolation] = (),
+    coarse: Optional[CoarseBreakdown] = None,
+) -> Path:
+    """Write a dump straight from a recorder's buffers (:meth:`Recorder.records`)."""
     path = Path(path)
     lines: List[str] = [FORMAT_LINE]
     lines.append(f"run_id {meta.run_id}")
@@ -113,23 +194,14 @@ def write_dump(
     lines.append(f"cpu_refresh_wall_ns {calibration.cpu_refresh_wall_ns}")
     lines.append(f"pair_overhead_ns {calibration.pair_overhead_ns}")
     lines.append("end_header")
-    for ev in events:
-        if ev.kind is EventKind.SAMPLE:
-            stack = "|".join(_frame_str(s) for s in (ev.stack or ()))
-            lines.append(f"S\t{ev.thread_id}\t{ev.wall_ns}\t{ev.cpu_ns}\t{stack}")
-        else:
-            code = "E" if ev.kind is EventKind.ENTER else "X"
-            lines.append(
-                f"{code}\t{ev.thread_id}\t{ev.wall_ns}\t{ev.cpu_ns}"
-                f"\t{_clean(ev.site.file)}\t{ev.site.line}\t{_clean(ev.site.symbol)}"
-                f"\t{_KIND_CODE[ev.site.kind]}\t{ev.tag if ev.tag else '-'}"
-            )
+    events = _format_records(records, lines)
     for v in violations:
         lines.append(
             f"V\t{v.thread_id}\t{v.wall_ns}\t{_clean(v.site.file)}\t{v.site.line}"
             f"\t{_clean(v.site.symbol)}\t{_KIND_CODE[v.site.kind]}\t{_clean(v.detail)}"
         )
     lines.append("end_events")
+    lines.append(f"counts\t{events}\t{len(violations)}")
     if coarse is not None:
         lines.append(f"coarse\t{coarse.elapsed_s!r}\t{coarse.user_s!r}\t{coarse.system_s!r}")
     lines.append("end_dump")
@@ -137,14 +209,19 @@ def write_dump(
     return path
 
 
-def _parse_header(lines: List[str]) -> tuple[DumpMeta, ClockCalibration, int]:
-    if not lines or lines[0].strip() != FORMAT_LINE:
-        raise DumpFormatError("missing or unsupported dump format line")
+def _parse_header(lines: Iterable[str]) -> tuple[DumpMeta, ClockCalibration, int]:
+    """Parse the header from the start of ``lines``; return it and the
+    number of lines it took."""
+    it = iter(lines)
+    first = next(it, "").strip()
+    if first != FORMAT_LINE:
+        if first.startswith("profile-dump "):
+            raise DumpFormatError(f"unsupported dump format {first!r}; expected {FORMAT_LINE!r}")
+        raise DumpFormatError("missing dump format line")
     fields = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i].rstrip("\n")
-        i += 1
+    consumed = 1
+    for line in it:
+        consumed += 1
         if line == "end_header":
             break
         key, _, value = line.partition(" ")
@@ -170,68 +247,120 @@ def _parse_header(lines: List[str]) -> tuple[DumpMeta, ClockCalibration, int]:
         )
     except (KeyError, ValueError) as exc:
         raise DumpFormatError(f"bad header field: {exc}") from exc
-    return meta, calibration, i
+    return meta, calibration, consumed
+
+
+def _parse_footer(lines: Iterable[str]) -> Tuple[int, int, Optional[CoarseBreakdown]]:
+    """Parse the lines after ``end_events``: (events, violations, coarse)."""
+    counts = None
+    coarse = None
+    for line in lines:
+        if line == "end_dump":
+            if counts is None:
+                raise DumpFormatError("missing counts footer")
+            return counts[0], counts[1], coarse
+        key, _, rest = line.partition("\t")
+        try:
+            if key == "counts":
+                events, violations = rest.split("\t")
+                counts = (int(events), int(violations))
+            elif key == "coarse":
+                elapsed, user, system = rest.split("\t")
+                coarse = CoarseBreakdown(
+                    elapsed_s=float(elapsed), user_s=float(user), system_s=float(system)
+                )
+        except ValueError:
+            raise DumpFormatError(f"malformed {key} footer: {line!r}") from None
+    raise DumpFormatError("missing end_dump")
+
+
+def _parse_dump(lines: List[str]) -> Dump:
+    meta, calibration, i = _parse_header(lines)
+    dump = Dump(meta=meta, calibration=calibration)
+    try:
+        while i < len(lines):
+            line = lines[i]
+            i += 1
+            if line == "end_events":
+                break
+            parts = line.split("\t")
+            code = parts[0]
+            if code in ("E", "X"):
+                _, thread, wall, cpu, file, lineno, symbol, kind, tag = parts
+                dump.events.append(
+                    ProfileEvent(
+                        thread_id=int(thread),
+                        site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
+                        kind=EventKind.ENTER if code == "E" else EventKind.EXIT,
+                        wall_ns=int(wall),
+                        cpu_ns=int(cpu),
+                        tag=None if tag == "-" else tag,
+                    )
+                )
+            elif code == "S":
+                _, thread, wall, cpu, stack_str = parts
+                stack = tuple(_parse_frame(f) for f in stack_str.split("|"))
+                dump.events.append(
+                    ProfileEvent(
+                        thread_id=int(thread),
+                        site=stack[-1],
+                        kind=EventKind.SAMPLE,
+                        wall_ns=int(wall),
+                        cpu_ns=int(cpu),
+                        stack=stack,
+                    )
+                )
+            elif code == "V":
+                _, thread, wall, file, lineno, symbol, kind, detail = parts
+                dump.violations.append(
+                    NestingViolation(
+                        thread_id=int(thread),
+                        wall_ns=int(wall),
+                        site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
+                        detail=detail,
+                    )
+                )
+            else:
+                raise DumpFormatError(f"line {i}: unknown event record {code!r}")
+        else:
+            raise DumpFormatError("unterminated event section")
+    except (ValueError, KeyError) as exc:
+        raise DumpFormatError(f"line {i}: malformed {code!r} record ({exc})") from None
+    events, violations, dump.coarse = _parse_footer(lines[i:])
+    if (events, violations) != (len(dump.events), len(dump.violations)):
+        raise DumpFormatError(
+            f"footer counts {events} events and {violations} violations, "
+            f"the body holds {len(dump.events)} and {len(dump.violations)}"
+        )
+    return dump
 
 
 def read_dump(path: Path | str) -> Dump:
+    """Parse a whole dump, event lines included."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    meta, calibration, i = _parse_header(lines)
-    dump = Dump(meta=meta, calibration=calibration)
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if line == "end_events":
-            break
-        parts = line.split("\t")
-        code = parts[0]
-        if code in ("E", "X"):
-            _, thread, wall, cpu, file, lineno, symbol, kind, tag = parts
-            dump.events.append(
-                ProfileEvent(
-                    thread_id=int(thread),
-                    site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
-                    kind=EventKind.ENTER if code == "E" else EventKind.EXIT,
-                    wall_ns=int(wall),
-                    cpu_ns=int(cpu),
-                    tag=None if tag == "-" else tag,
-                )
+    try:
+        return _parse_dump(path.read_text(encoding="utf-8").splitlines())
+    except (DumpFormatError, UnicodeDecodeError) as exc:
+        raise DumpFormatError(f"{path}: {exc}") from None
+
+
+def read_dump_info(path: Path | str) -> DumpInfo:
+    """Read a dump's header and footer only, seeking past its event lines."""
+    path = Path(path)
+    try:
+        with path.open("rb") as f:
+            meta, calibration, _ = _parse_header(
+                raw.decode("utf-8").rstrip("\n") for raw in iter(f.readline, b"")
             )
-        elif code == "S":
-            _, thread, wall, cpu, stack_str = parts
-            stack = tuple(_parse_frame(f) for f in stack_str.split("|") if f)
-            if not stack:
-                continue
-            dump.events.append(
-                ProfileEvent(
-                    thread_id=int(thread),
-                    site=stack[-1],
-                    kind=EventKind.SAMPLE,
-                    wall_ns=int(wall),
-                    cpu_ns=int(cpu),
-                    stack=stack,
-                )
-            )
-        elif code == "V":
-            _, thread, wall, file, lineno, symbol, kind, detail = parts
-            dump.violations.append(
-                NestingViolation(
-                    thread_id=int(thread),
-                    wall_ns=int(wall),
-                    site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
-                    detail=detail,
-                )
-            )
-        else:
-            raise DumpFormatError(f"unknown event record {code!r}")
-    else:
-        raise DumpFormatError("unterminated event section")
-    for line in lines[i:]:
-        if line.startswith("coarse\t"):
-            _, elapsed, user, system = line.split("\t")
-            dump.coarse = CoarseBreakdown(
-                elapsed_s=float(elapsed), user_s=float(user), system_s=float(system)
-            )
-        elif line == "end_dump":
-            return dump
-    raise DumpFormatError("missing end_dump")
+            size = f.seek(0, os.SEEK_END)
+            f.seek(max(0, size - _TAIL_BYTES))
+            tail = f.read()
+        at = tail.rfind(_END_EVENTS)
+        if at < 0:
+            raise DumpFormatError("no end_events line near the end: the dump is torn")
+        events, violations, coarse = _parse_footer(
+            tail[at + len(_END_EVENTS):].decode("utf-8").splitlines()
+        )
+    except (DumpFormatError, UnicodeDecodeError) as exc:
+        raise DumpFormatError(f"{path}: {exc}") from None
+    return DumpInfo(meta, calibration, events, violations, coarse)

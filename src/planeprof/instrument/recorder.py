@@ -20,7 +20,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from planeprof.instrument.events import (
     TAG_SLEEP,
@@ -251,6 +251,20 @@ class Recorder:
 
     # -- snapshot / flush ---------------------------------------------------
 
+    def records(self) -> List[Tuple[int, List[tuple]]]:
+        """Snapshot the raw buffers: one ``(thread id, records)`` pair per
+        thread log, in log-creation order.
+
+        A record is ``(code, site, wall_ns, cpu_ns, tag)`` for an enter
+        (code ``"E"``) or exit (``"X"``) of the log's thread, or
+        ``("S", site, wall_ns, cpu_ns, tag, subject thread id, stack)`` for a
+        stack sample. The codes are the dump record codes, so the dump
+        writer formats these tuples as they are.
+        """
+        with self._logs_lock:
+            logs = list(self._logs)
+        return [(log.ident, list(log.events)) for log in logs]
+
     def events(self) -> List[ProfileEvent]:
         """Materialize all buffered events in log-creation order.
 
@@ -258,10 +272,8 @@ class Recorder:
         from disjoint thread lifetimes, so per-id wall monotonicity holds.
         """
         out: List[ProfileEvent] = []
-        with self._logs_lock:
-            logs = list(self._logs)
-        for log in logs:
-            for rec in list(log.events):
+        for ident, records in self.records():
+            for rec in records:
                 kind = rec[0]
                 if kind == "S":
                     _, site, wall, cpu, tag, subject, stack = rec
@@ -280,7 +292,7 @@ class Recorder:
                     _, site, wall, cpu, tag = rec
                     out.append(
                         ProfileEvent(
-                            thread_id=log.ident,
+                            thread_id=ident,
                             site=site,
                             kind=EventKind.ENTER if kind == _ENTER else EventKind.EXIT,
                             wall_ns=wall,

@@ -6,7 +6,7 @@ seconds appear only in rendered reports and derived per-call values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from planeprof.instrument.events import CodeSite
@@ -153,9 +153,6 @@ class FunctionProfile:
         for key in ("run_id", "scenario", "scale_factor", "sources", "wall_span_ns"):
             setattr(out, key, kwargs.get(key, getattr(self, key)))
         return out
-
-    def retag(self, site: CodeSite, tag: str) -> None:
-        self.rows[site] = replace(self.rows[site], tag=tag)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List
 
-from planeprof.instrument.dumpio import read_dump
+from planeprof.instrument.dumpio import read_dump_info
 
 INDEX_NAME = "index.txt"
 
@@ -20,10 +20,10 @@ def write_dump_index(directory: Path | str) -> Path:
     directory = Path(directory)
     lines = ["# dump\tentity\trole\trun_id\tevents\tviolations"]
     for path in sorted(directory.glob("*.dump")):
-        dump = read_dump(path)
+        info = read_dump_info(path)
         lines.append(
-            f"{path.name}\t{dump.meta.entity}\t{dump.meta.role}"
-            f"\t{dump.meta.run_id}\t{len(dump.events)}\t{len(dump.violations)}"
+            f"{path.name}\t{info.meta.entity}\t{info.meta.role}"
+            f"\t{info.meta.run_id}\t{info.events}\t{info.violations}"
         )
     index = directory / INDEX_NAME
     index.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -48,11 +48,11 @@ def render_summary(run_dir: Path | str) -> str:
         lines.append("")
         lines.append("dumps:")
         for path in sorted(dumps_dir.glob("*.dump")):
-            dump = read_dump(path)
-            run_id = dump.meta.run_id
-            role_counts[dump.meta.role] = role_counts.get(dump.meta.role, 0) + 1
-            total_events += len(dump.events)
-            coarse = dump.coarse
+            info = read_dump_info(path)
+            run_id = info.meta.run_id
+            role_counts[info.meta.role] = role_counts.get(info.meta.role, 0) + 1
+            total_events += info.events
+            coarse = info.coarse
             coarse_txt = (
                 f"elapsed={coarse.elapsed_s:.3f}s user={coarse.user_s:.3f}s "
                 f"system={coarse.system_s:.3f}s"
@@ -60,8 +60,8 @@ def render_summary(run_dir: Path | str) -> str:
                 else "no coarse record"
             )
             lines.append(
-                f"  {dump.meta.entity:<20} {dump.meta.role:<18} "
-                f"events={len(dump.events):<7} {coarse_txt}"
+                f"  {info.meta.entity:<20} {info.meta.role:<18} "
+                f"events={info.events:<7} {coarse_txt}"
             )
     lines.append("")
     lines.append(f"run_id: {run_id}")

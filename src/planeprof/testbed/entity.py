@@ -5,7 +5,8 @@ connections, decodes frames, dispatches messages, and runs its timers
 (heartbeats, paced client traffic, workflow bookkeeping) between polls.
 Entities share no state; everything crosses the wire.
 
-Process mode runs :func:`main` in a child interpreter configured through
+Process mode runs :func:`main` in a child interpreter
+(``python -m planeprof.testbed``) configured through
 environment variables (``HOST_NAME``, ``NAME_SERVER_ADDR``,
 ``NAME_SERVER_UPDATE_PORT`` and friends); thread mode constructs the same
 classes in-process. Either way each entity records its own profile and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from planeprof.instrument.dumpio import DumpMeta, write_dump
+from planeprof.instrument.dumpio import DumpMeta, write_records
 from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
 from planeprof.instrument.proctimes import ProcessTimer
 from planeprof.instrument.recorder import Recorder
@@ -81,7 +82,8 @@ _MAIN_SITES = {
     for i, role in enumerate(NodeRole)
 }
 
-_EVENT_LEVELS = frozenset({"function", "line", "thread", "sample"})
+# profiling levels that turn the event recorder on
+EVENT_LEVELS = frozenset({"function", "line", "thread", "sample"})
 _JOB_DRAIN_GRACE_S = 2.0
 
 
@@ -208,7 +210,7 @@ class Entity:
         self.cfg = cfg
         self.name = cfg.name
         if recorder is None:
-            enabled = bool(_EVENT_LEVELS & set(cfg.levels))
+            enabled = bool(EVENT_LEVELS & set(cfg.levels))
             recorder = Recorder(enabled=enabled)
         self.rec = recorder
         self._timer: Optional[ProcessTimer] = None  # created on the loop thread
@@ -543,11 +545,11 @@ class Entity:
                 levels=self.cfg.levels,
                 scale_factor=self.cfg.scale_factor,
             )
-            path = write_dump(
+            path = write_records(
                 Path(self.cfg.dump_dir) / f"{self.name}.dump",
                 meta,
                 self.rec.calibration,
-                self.rec.events(),
+                self.rec.records(),
                 self.rec.violations,
                 coarse,
             )
@@ -955,7 +957,3 @@ def main() -> int:
         print(f"{cfg.name}: fatal: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

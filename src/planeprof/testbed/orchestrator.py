@@ -28,12 +28,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from planeprof.instrument.dumpio import DumpMeta, write_dump
+from planeprof.instrument.dumpio import DumpMeta, write_records
 from planeprof.instrument.events import TAG_SPAWN, CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakdown_from_rusage
 from planeprof.instrument.recorder import Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.entity import (
+    EVENT_LEVELS,
     Addr,
     Connection,
     Entity,
@@ -529,11 +530,11 @@ class RunningTopology:
             levels=self.levels,
             scale_factor=self.config.scale_factor,
         )
-        write_dump(
+        write_records(
             self.dumps_dir / "orchestrator.dump",
             meta,
             self.rec.calibration,
-            self.rec.events(),
+            self.rec.records(),
             self.rec.violations,
             self._timer.checkpoint(),
         )
@@ -597,7 +598,7 @@ def _spawn(topo: RunningTopology, ecfg: EntityConfig) -> EntityHandle:
                 stderr_file = subprocess.DEVNULL
             try:
                 handle.popen = subprocess.Popen(
-                    [sys.executable, "-m", "planeprof.testbed.entity"],
+                    [sys.executable, "-m", "planeprof.testbed"],
                     env=env,
                     stdout=subprocess.DEVNULL,
                     stderr=stderr_file,
@@ -609,7 +610,8 @@ def _spawn(topo: RunningTopology, ecfg: EntityConfig) -> EntityHandle:
                     stderr_file.close()
         else:
             shared_cal = topo.rec.calibration
-            entity = build_entity(ecfg, Recorder(enabled=True, calibration=shared_cal))
+            enabled = bool(EVENT_LEVELS & set(ecfg.levels))
+            entity = build_entity(ecfg, Recorder(enabled=enabled, calibration=shared_cal))
             handle.entity = entity
             handle.thread = threading.Thread(
                 target=entity.run, name=f"entity-{ecfg.name}", daemon=True

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 
 import pytest
 
+import planeprof.cli
+import planeprof.instrument.dumpio
+import planeprof.reporting.summary as summary
 from planeprof.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from planeprof.instrument.dumpio import DumpInfo, read_dump
 from planeprof.reporting.exports import import_function_csv
 from planeprof.testbed.config import ScenarioConfig, write_scenario
 
@@ -121,6 +126,49 @@ class TestRun:
             blocker.close()
         assert code == EXIT_RUNTIME
 
+    def test_index_and_summary_match_full_parses(self, run_dir, monkeypatch):
+        rows = ["# dump\tentity\trole\trun_id\tevents\tviolations"]
+        for path in sorted((run_dir / "dumps").glob("*.dump")):
+            d = read_dump(path)
+            rows.append(
+                f"{path.name}\t{d.meta.entity}\t{d.meta.role}\t{d.meta.run_id}"
+                f"\t{len(d.events)}\t{len(d.violations)}"
+            )
+        assert (run_dir / "dumps" / "index.txt").read_text() == "\n".join(rows) + "\n"
+
+        def info_from_full_parse(path):
+            d = read_dump(path)
+            return DumpInfo(d.meta, d.calibration, len(d.events), len(d.violations), d.coarse)
+
+        monkeypatch.setattr(summary, "read_dump_info", info_from_full_parse)
+        assert (run_dir / "summary.txt").read_text() == summary.render_summary(run_dir)
+
+    def test_run_artifacts_never_parse_whole_dumps(self, scenario_file, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read_dump({path}) after a run")
+
+        monkeypatch.setattr(planeprof.cli, "read_dump", refuse)
+        monkeypatch.setattr(planeprof.instrument.dumpio, "read_dump", refuse)
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        rows = (out / "dumps" / "index.txt").read_text().splitlines()[1:]
+        assert sum(int(row.split("\t")[4]) for row in rows) > 0
+
+    def test_coarse_level_records_no_events(self, scenario_file, tmp_path):
+        out = tmp_path / "coarse-run"
+        code = main(
+            ["run", "--scenario", str(scenario_file), "--out", str(out), "--levels", "coarse"]
+        )
+        assert code == EXIT_OK
+        paths = sorted((out / "dumps").glob("*.dump"))
+        assert {"orchestrator", "gc", "ns"} <= {p.stem for p in paths}
+        for path in paths:
+            dump = read_dump(path)  # also checks the counts footer
+            assert dump.events == []
+            assert dump.meta.levels == ("coarse",)
+        rows = (out / "dumps" / "index.txt").read_text().splitlines()[1:]
+        assert [row.split("\t")[4] for row in rows] == ["0"] * len(paths)
+
     def test_same_seed_reproduces_message_counts(self, scenario_file, tmp_path):
         out_b = tmp_path / "runB"
         out_c = tmp_path / "runC"
@@ -150,6 +198,16 @@ class TestAnalyze:
 
     def test_missing_dumps_dir(self, tmp_path):
         assert main(["analyze", "--dumps", str(tmp_path / "void")]) == EXIT_CONFIG
+
+    def test_torn_dump_is_config_error(self, run_dir, tmp_path, capsys):
+        torn = shutil.copytree(run_dir / "dumps", tmp_path / "torn")
+        victim = max(torn.glob("*.dump"), key=lambda p: p.stat().st_size)
+        data = victim.read_bytes()
+        middle = data.index(b"\nE\t", len(data) // 2)
+        victim.write_bytes(data[: middle + 4])  # "\nE\t" and one digit of the thread id
+        code = main(["analyze", "--dumps", str(torn), "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {victim}: line ")
 
 
 class TestReport:

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from helpers import site
-from planeprof.instrument.dumpio import DumpFormatError, DumpMeta, read_dump, write_dump
+from planeprof.instrument.dumpio import (
+    DumpFormatError,
+    DumpInfo,
+    DumpMeta,
+    read_dump,
+    read_dump_info,
+    write_dump,
+    write_records,
+)
 from planeprof.instrument.events import (
     CodeSite,
     EventKind,
@@ -73,7 +83,7 @@ class TestRoundTrip:
     def test_header_layout(self, tmp_path):
         path = write_dump(tmp_path / "x.dump", META, CAL, [])
         lines = path.read_text().splitlines()
-        assert lines[0] == "profile-dump 1"
+        assert lines[0] == "profile-dump 2"
         keys = [l.split(" ", 1)[0] for l in lines[1:13]]
         assert keys == [
             "run_id", "entity", "role", "pid", "scenario", "seed", "levels",
@@ -81,7 +91,39 @@ class TestRoundTrip:
             "pair_overhead_ns",
         ]
         assert lines[13] == "end_header"
-        assert lines[-1] == "end_dump"
+        assert lines[14:] == ["end_events", "counts\t0\t0", "end_dump"]
+
+    def test_info_reads_header_and_footer(self, tmp_path):
+        violations = [NestingViolation(1, 999, site("oops", SiteKind.REGION), "detail")]
+        coarse = CoarseBreakdown(1.5, 0.25, 0.125)
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events(), violations, coarse)
+        lines = path.read_text().splitlines()
+        assert lines[-4:] == ["end_events", "counts\t3\t1", "coarse\t1.5\t0.25\t0.125", "end_dump"]
+        assert read_dump_info(path) == DumpInfo(META, CAL, 3, 1, coarse)
+        bare = write_dump(tmp_path / "bare.dump", META, CAL, [])
+        assert read_dump_info(bare) == DumpInfo(META, CAL, 0, 0, None)
+
+    def test_recorder_records_match_materialized_events(self, tmp_path, recorder):
+        outer = site("outer")
+        inner = site("inner", SiteKind.REGION)
+        recorder.enter(outer)
+        with recorder.region(inner, tag="poll"):
+            pass
+        recorder.record_sample(7, (outer, inner), 5, 6)
+        recorder.exit(outer)
+        recorder.exit(inner)  # unmatched: a violation
+        worker = threading.Thread(target=recorder.enter, args=(outer,))
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        raw = write_records(
+            tmp_path / "raw.dump", META, CAL, recorder.records(), recorder.violations
+        )
+        materialized = write_dump(
+            tmp_path / "events.dump", META, CAL, recorder.events(), recorder.violations
+        )
+        assert raw.read_bytes() == materialized.read_bytes()
+        assert read_dump_info(raw) == DumpInfo(META, CAL, len(recorder.events()), 1)
 
     def test_tabs_in_symbols_are_sanitized(self, tmp_path):
         weird = CodeSite("a\tb.py", 1, "fn\nwith newline", SiteKind.FUNCTION)
@@ -115,3 +157,48 @@ class TestErrors:
         path.write_text(text)
         with pytest.raises(DumpFormatError):
             read_dump(path)
+
+    def test_counts_mismatch(self, tmp_path):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        path.write_text(path.read_text().replace("counts\t3\t0", "counts\t4\t0"))
+        with pytest.raises(DumpFormatError, match="footer counts 4 events"):
+            read_dump(path)
+
+    def test_missing_counts_footer(self, tmp_path):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        path.write_text(path.read_text().replace("counts\t3\t0\n", ""))
+        for reader in (read_dump, read_dump_info):
+            with pytest.raises(DumpFormatError, match="missing counts footer"):
+                reader(path)
+
+    def test_version_1_is_rejected(self, tmp_path):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        path.write_text(path.read_text().replace("profile-dump 2", "profile-dump 1", 1))
+        for reader in (read_dump, read_dump_info):
+            with pytest.raises(DumpFormatError, match="'profile-dump 1'"):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "bad, needle",
+        [
+            ("E\t1", "line 15: malformed 'E' record"),
+            ("X\t1\tnot-a-time\t12\tf.py\t1\tpoll_wait\tR\t-", "line 15: malformed 'X' record"),
+            ("S\t2\t3000\t15\t", "line 15: malformed 'S' record"),
+            ("V\t1\t2\tf.py\t1\tsym\tQ\tdetail", "line 15: malformed 'V' record"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, bad, needle):
+        path = write_dump(tmp_path / "x.dump", META, CAL, [])
+        path.write_text(path.read_text().replace("end_events", f"{bad}\nend_events"))
+        with pytest.raises(DumpFormatError) as info:
+            read_dump(path)
+        assert str(info.value).startswith(f"{path}: {needle}")
+
+    def test_torn_dump(self, tmp_path):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\nX\t") + 4])
+        with pytest.raises(DumpFormatError, match=r"x\.dump: line 16: malformed 'X' record"):
+            read_dump(path)
+        with pytest.raises(DumpFormatError, match="no end_events"):
+            read_dump_info(path)

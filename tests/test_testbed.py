@@ -371,3 +371,6 @@ class TestProcessMode:
         # killed-entity semantics do not apply here: clean shutdown wrote
         # a coarse footer into every dump
         assert all(d.coarse is not None for d in dumps)
+        logs = sorted((tmp_path / "logs").glob("*.stderr"))
+        assert len(logs) == len(t.dump_paths) - 1
+        assert not [p.name for p in logs if "RuntimeWarning" in p.read_text()]
