@@ -11,22 +11,17 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from planeprof.analysis.categories import CategoryRules, load_rules
 from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
-from planeprof.instrument.dumpio import Dump, DumpFormatError, read_dump, read_dump_info
+from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump_info
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import Recorder, calibrate_clocks
-from planeprof.model.aggregate import (
-    UnknownScope,
-    aggregate_regions,
-    aggregate_threads,
-    profile_from_dump,
-)
+from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stream
 from planeprof.model.merge import RunIdMismatch, merge_profiles
-from planeprof.model.stats import FunctionProfile
+from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
 from planeprof.reporting.exports import read_export, write_export
 from planeprof.reporting.summary import render_summary, write_dump_index
 from planeprof.reporting.tables import (
@@ -36,15 +31,9 @@ from planeprof.reporting.tables import (
     ReportSpec,
     write_report,
 )
-from planeprof.testbed.config import ScenarioConfig, ScenarioError, load_scenario
-from planeprof.testbed.entity import EVENT_LEVELS
-from planeprof.testbed.orchestrator import (
-    BootstrapTimeout,
-    EntitySpawnFailed,
-    NoActiveWorkflow,
-    PortUnavailable,
-    bootstrap,
-)
+
+if TYPE_CHECKING:
+    from planeprof.testbed.config import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +58,7 @@ def _parse_levels(raw: Optional[str]) -> Tuple[str, ...]:
     return levels
 
 
-def _load_dumps(dump_dir: Path) -> List[Dump]:
+def _dump_paths(dump_dir: Path) -> List[Path]:
     if not dump_dir.is_dir():
         candidate = dump_dir / "dumps"
         if candidate.is_dir():
@@ -83,11 +72,12 @@ def _load_dumps(dump_dir: Path) -> List[Dump]:
             paths = sorted(nested.glob("*.dump"))
     if not paths:
         raise CliError(f"no .dump files under {dump_dir}")
-    return [read_dump(p) for p in paths]
+    return paths
 
 
-def _merged_profile(dumps: List[Dump]) -> FunctionProfile:
-    return merge_profiles([profile_from_dump(d) for d in dumps])
+def _merged_profile(dump_dir: Path) -> FunctionProfile:
+    """Stream each dump into its profile, one at a time, and merge them."""
+    return merge_profiles([profile_from_path(p) for p in _dump_paths(dump_dir)])
 
 
 def _rules(path: Optional[str]) -> Optional[CategoryRules]:
@@ -95,39 +85,63 @@ def _rules(path: Optional[str]) -> Optional[CategoryRules]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["entity_mode"] = args.mode
-    if overrides:
-        config = config.with_overrides(**overrides)
-    levels = _parse_levels(args.levels)
-    out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
-    out.mkdir(parents=True, exist_ok=True)
-    for stale in (out / "dumps").glob("*.dump"):
-        stale.unlink()  # a rerun must not mix with a previous run's dumps
-    recorder = Recorder(enabled=bool(EVENT_LEVELS & set(levels)))
-    run_id = f"{config.scenario_id}-seed{config.seed}"
-    topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)
-    load_report = None
+    # the testbed is imported here, so analyze, report and compare never load it
+    from planeprof.testbed.config import ScenarioError, load_scenario
+    from planeprof.testbed.entity import EVENT_LEVELS
+    from planeprof.testbed.orchestrator import (
+        BootstrapTimeout,
+        EntitySpawnFailed,
+        NoActiveWorkflow,
+        PortUnavailable,
+        bootstrap,
+    )
+
     try:
-        remaining = config.run_duration_s
-        if config.client_users > 0 and config.run_duration_s > 0:
-            t0 = time.monotonic()
-            load_report = topo.client_load(
-                users=config.client_users,
-                rate_rps=config.client_request_rate,
-                duration_s=config.run_duration_s,
-            )
-            remaining = config.run_duration_s - (time.monotonic() - t0)
-        if remaining > 0:
-            with recorder.region(SITE_RUN_WINDOW):
-                time.sleep(remaining)
-    finally:
-        coarse = topo.shutdown()
-    _write_run_artifacts(out, topo, config, coarse, load_report)
+        config = load_scenario(args.scenario)
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.mode is not None:
+            overrides["entity_mode"] = args.mode
+        if overrides:
+            config = config.with_overrides(**overrides)
+        levels = _parse_levels(args.levels)
+        out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
+        out.mkdir(parents=True, exist_ok=True)
+        for stale in (out / "dumps").glob("*.dump"):
+            stale.unlink()  # a rerun must not mix with a previous run's dumps
+        recorder = Recorder(enabled=bool(EVENT_LEVELS & set(levels)))
+        run_id = f"{config.scenario_id}-seed{config.seed}"
+        topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)
+        load_report = None
+        try:
+            remaining = config.run_duration_s
+            if config.client_users > 0 and config.run_duration_s > 0:
+                t0 = time.monotonic()
+                load_report = topo.client_load(
+                    users=config.client_users,
+                    rate_rps=config.client_request_rate,
+                    duration_s=config.run_duration_s,
+                )
+                remaining = config.run_duration_s - (time.monotonic() - t0)
+            if remaining > 0:
+                with recorder.region(SITE_RUN_WINDOW):
+                    time.sleep(remaining)
+        finally:
+            coarse = topo.shutdown()
+        _write_run_artifacts(out, topo, config, coarse, load_report)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (
+        BootstrapTimeout,
+        EntitySpawnFailed,
+        PortUnavailable,
+        NoActiveWorkflow,
+        TimeoutError,
+    ) as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(out)
     return EXIT_OK
 
@@ -173,8 +187,7 @@ def _write_run_artifacts(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    dumps = _load_dumps(Path(args.dumps))
-    merged = _merged_profile(dumps)
+    merged = _merged_profile(Path(args.dumps))
     findings = find_hotspots(merged, min_share_pct=args.threshold, rules=_rules(args.rules))
     out = Path(args.out) if args.out else Path(args.dumps) / "findings.json"
     write_export(findings, ReportKind.HOTSPOT_REPORT, out)
@@ -182,12 +195,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _find_scope(dumps: List[Dump], symbol: str) -> Tuple[Dump, CodeSite]:
-    for dump in dumps:
-        for ev in dump.events:
-            if ev.site.symbol == symbol and ev.site.kind is SiteKind.FUNCTION:
-                return dump, ev.site
+def _region_profile(paths: List[Path], symbol: str) -> RegionProfile:
+    """Regions in the first ``FUNCTION`` site named ``symbol``, in file
+    order, taken from the first dump that holds one."""
+    for path in paths:
+        with DumpStream(path) as stream:
+            result = walk_stream(stream, scope_symbol=symbol)
+        if result.scope is not None:
+            return result.region_profile()
     raise UnknownScope(f"no function site named {symbol!r} in any dump")
+
+
+def _thread_table(paths: List[Path], entity: str) -> List[ThreadStats]:
+    for path in paths:
+        with DumpStream(path) as stream:
+            if stream.meta.entity == entity:
+                return walk_stream(stream).thread_table()
+    raise CliError(f"no dump for entity {entity!r}")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -198,24 +222,18 @@ def cmd_report(args: argparse.Namespace) -> int:
         if loaded_kind is not kind:
             raise CliError(f"export holds {loaded_kind.value}, not {kind.value}")
     else:
-        dumps = _load_dumps(Path(args.dumps))
+        dumps = Path(args.dumps)
         if kind is ReportKind.FUNCTION_TABLE:
             data = _merged_profile(dumps)
         elif kind is ReportKind.LINE_TABLE:
             if not args.scope:
                 raise CliError("line_table needs --scope <function symbol>")
-            dump, scope = _find_scope(dumps, args.scope)
-            data = aggregate_regions(dump.events, scope)
+            data = _region_profile(_dump_paths(dumps), args.scope)
         elif kind is ReportKind.THREAD_TABLE:
-            wanted = args.entity or "orchestrator"
-            matches = [d for d in dumps if d.meta.entity == wanted]
-            if not matches:
-                raise CliError(f"no dump for entity {wanted!r}")
-            data = aggregate_threads(matches[0].events)
+            data = _thread_table(_dump_paths(dumps), args.entity or "orchestrator")
         elif kind is ReportKind.COARSE_TABLE:
-            data = {
-                d.meta.entity: d.coarse for d in dumps if d.coarse is not None
-            }
+            infos = [read_dump_info(p) for p in _dump_paths(dumps)]
+            data = {i.meta.entity: i.coarse for i in infos if i.coarse is not None}
         elif kind is ReportKind.HOTSPOT_REPORT:
             data = find_hotspots(
                 _merged_profile(dumps), min_share_pct=args.threshold, rules=_rules(args.rules)
@@ -231,8 +249,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    before = _merged_profile(_load_dumps(Path(args.before)))
-    after = _merged_profile(_load_dumps(Path(args.after)))
+    before = _merged_profile(Path(args.before))
+    after = _merged_profile(Path(args.after))
     report = compare(before, after, rules=_rules(args.rules), regression_epsilon_s=args.epsilon)
     out = Path(args.out) if args.out else Path("compare_report.txt")
     spec = ReportSpec(kind=ReportKind.COMPARE_REPORT, output=out, top_n=args.top)
@@ -322,7 +340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (
         CliError,
-        ScenarioError,
         InvalidSortKey,
         ScenarioMismatch,
         RunIdMismatch,
@@ -332,15 +349,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        BootstrapTimeout,
-        EntitySpawnFailed,
-        PortUnavailable,
-        NoActiveWorkflow,
-        TimeoutError,
-    ) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

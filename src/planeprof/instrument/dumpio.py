@@ -29,6 +29,8 @@ All times are integer nanoseconds except the coarse footer, which keeps
 the float seconds the OS reported. The coarse line is optional. The
 footer lines have bounded length, so :func:`read_dump_info` reads the
 header and the last few kilobytes and never the event lines.
+:class:`DumpStream` is the one parser of the event lines: it yields them
+as record tuples while it reads, and :func:`read_dump` materializes them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from planeprof.instrument.events import (
     CodeSite,
@@ -55,6 +57,7 @@ FORMAT_LINE = "profile-dump 2"
 _KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 _EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X", EventKind.SAMPLE: "S"}
+_RECORD_CODES = ("E", "X", "S", "V")
 
 # Room for the footer lines after ``end_events``, whose length is bounded.
 _TAIL_BYTES = 4096
@@ -150,12 +153,23 @@ def _format_records(records: Records, lines: List[str]) -> int:
     return len(lines) - start
 
 
-def _records_of(events: Iterable[ProfileEvent]) -> Records:
-    for thread, group in groupby(events, key=attrgetter("thread_id")):
-        yield thread, [
-            (_EVENT_CODE[ev.kind], ev.site, ev.wall_ns, ev.cpu_ns, ev.tag, thread, ev.stack)
-            for ev in group
-        ]
+def records_of(
+    events: Iterable[ProfileEvent], sites: Optional[Dict[CodeSite, CodeSite]] = None
+) -> Iterator[tuple]:
+    """Materialized events as the record tuples :class:`DumpStream` yields.
+
+    Equal sites come out as one object, as a streamed dump's do: the one
+    in ``sites`` if it holds an equal site, else the first seen.
+    """
+    by_value = {} if sites is None else sites
+    # keyed by id() to skip the dataclass hash; each value holds its site,
+    # so no id is reused while the generator runs
+    by_id: Dict[int, Tuple[CodeSite, CodeSite]] = {}
+    for ev in events:
+        seen = by_id.get(id(ev.site))
+        if seen is None:
+            seen = by_id[id(ev.site)] = (ev.site, by_value.setdefault(ev.site, ev.site))
+        yield _EVENT_CODE[ev.kind], seen[1], ev.wall_ns, ev.cpu_ns, ev.tag, ev.thread_id, ev.stack
 
 
 def write_dump(
@@ -167,7 +181,8 @@ def write_dump(
     coarse: Optional[CoarseBreakdown] = None,
 ) -> Path:
     """Write a dump of materialized events."""
-    return write_records(path, meta, calibration, _records_of(events), violations, coarse)
+    records = groupby(records_of(events), key=itemgetter(5))
+    return write_records(path, meta, calibration, records, violations, coarse)
 
 
 def write_records(
@@ -250,20 +265,21 @@ def _parse_header(lines: Iterable[str]) -> tuple[DumpMeta, ClockCalibration, int
     return meta, calibration, consumed
 
 
-def _parse_footer(lines: Iterable[str]) -> Tuple[int, int, Optional[CoarseBreakdown]]:
-    """Parse the lines after ``end_events``: (events, violations, coarse)."""
+def _parse_footer(lines: Iterable[str]) -> Tuple[int, int, Optional[CoarseBreakdown], int]:
+    """Parse the lines after ``end_events``: (events, violations, coarse,
+    the offset of the counts line among them)."""
     counts = None
     coarse = None
-    for line in lines:
+    for at, line in enumerate(lines):
         if line == "end_dump":
             if counts is None:
                 raise DumpFormatError("missing counts footer")
-            return counts[0], counts[1], coarse
+            return counts[0], counts[1], coarse, counts[2]
         key, _, rest = line.partition("\t")
         try:
             if key == "counts":
                 events, violations = rest.split("\t")
-                counts = (int(events), int(violations))
+                counts = (int(events), int(violations), at)
             elif key == "coarse":
                 elapsed, user, system = rest.split("\t")
                 coarse = CoarseBreakdown(
@@ -274,74 +290,134 @@ def _parse_footer(lines: Iterable[str]) -> Tuple[int, int, Optional[CoarseBreakd
     raise DumpFormatError("missing end_dump")
 
 
-def _parse_dump(lines: List[str]) -> Dump:
-    meta, calibration, i = _parse_header(lines)
-    dump = Dump(meta=meta, calibration=calibration)
-    try:
-        while i < len(lines):
-            line = lines[i]
-            i += 1
-            if line == "end_events":
-                break
-            parts = line.split("\t")
-            code = parts[0]
-            if code in ("E", "X"):
-                _, thread, wall, cpu, file, lineno, symbol, kind, tag = parts
-                dump.events.append(
-                    ProfileEvent(
-                        thread_id=int(thread),
-                        site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
-                        kind=EventKind.ENTER if code == "E" else EventKind.EXIT,
-                        wall_ns=int(wall),
-                        cpu_ns=int(cpu),
-                        tag=None if tag == "-" else tag,
+class DumpStream:
+    """One dump read front to back: the header on open, then its records.
+
+    :meth:`records` yields one ``(code, site, wall_ns, cpu_ns, tag, thread,
+    stack)`` tuple per ``E``, ``X`` or ``S`` line, the layout of
+    :meth:`Recorder.records`: ``thread`` is the subject thread and
+    ``stack`` is ``None`` except on samples, whose ``site`` is the leaf
+    frame. Each distinct site text becomes one :class:`CodeSite`, and
+    equal sites are one object, so consumers may compare sites with
+    ``is``. Every line is validated; ``V`` records are collected in
+    :attr:`violations`. The counts footer is checked against the body
+    before the generator finishes, so a consumer has used no result of
+    a dump that fails it. :attr:`line` is the number of the line last
+    read, for errors a consumer finds in a record.
+    """
+
+    def __init__(self, path: Path | str) -> None:
+        self.path = Path(path)
+        self.violations: List[NestingViolation] = []
+        self.coarse: Optional[CoarseBreakdown] = None
+        self.line = 0
+        self._file = self.path.open(encoding="utf-8", newline="\n")
+        try:
+            self.meta, self.calibration, self.line = _parse_header(
+                line.rstrip("\n") for line in self._file
+            )
+        except (DumpFormatError, UnicodeDecodeError) as exc:
+            self._file.close()
+            raise self._error(str(exc)) from None
+
+    def __enter__(self) -> "DumpStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def records(self) -> Iterator[tuple]:
+        sites: Dict[str, CodeSite] = {}  # site text -> interned site
+        frames: Dict[str, CodeSite] = {}  # sample frame text -> interned site
+        by_value: Dict[CodeSite, CodeSite] = {}
+        threads: Dict[str, int] = {}
+        # a tag is the last field, so its text keeps the line's newline
+        tags: Dict[str, Optional[str]] = {"-\n": None, "-": None}
+        first = self.line + 1
+        code = ""
+        try:
+            for self.line, text in enumerate(self._file, first):
+                code, tab, rest = text.partition("\t")
+                if code == "E" or code == "X":
+                    thread, wall, cpu, site_tag = rest.split("\t", 3)
+                    site_text, _, tag = site_tag.rpartition("\t")
+                    site = sites.get(site_text)
+                    if site is None:
+                        site = _parse_site(site_text)
+                        site = sites[site_text] = by_value.setdefault(site, site)
+                    ident = threads.get(thread)
+                    if ident is None:
+                        ident = threads[thread] = int(thread)
+                    if tag in tags:
+                        tag = tags[tag]
+                    else:
+                        tag = tags[tag] = tag.rstrip("\n")
+                    yield code, site, int(wall), int(cpu), tag, ident, None
+                elif code == "S":
+                    thread, wall, cpu, stack_text = rest.rstrip("\n").split("\t")
+                    stack = []
+                    for frame in stack_text.split("|"):
+                        site = frames.get(frame)
+                        if site is None:
+                            site = _parse_frame(frame)
+                            site = frames[frame] = by_value.setdefault(site, site)
+                        stack.append(site)
+                    yield "S", stack[-1], int(wall), int(cpu), None, int(thread), tuple(stack)
+                elif code == "V":
+                    thread, wall, file, lineno, symbol, kind, detail = rest.rstrip("\n").split("\t")
+                    self.violations.append(
+                        NestingViolation(
+                            thread_id=int(thread),
+                            wall_ns=int(wall),
+                            site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
+                            detail=detail,
+                        )
                     )
-                )
-            elif code == "S":
-                _, thread, wall, cpu, stack_str = parts
-                stack = tuple(_parse_frame(f) for f in stack_str.split("|"))
-                dump.events.append(
-                    ProfileEvent(
-                        thread_id=int(thread),
-                        site=stack[-1],
-                        kind=EventKind.SAMPLE,
-                        wall_ns=int(wall),
-                        cpu_ns=int(cpu),
-                        stack=stack,
-                    )
-                )
-            elif code == "V":
-                _, thread, wall, file, lineno, symbol, kind, detail = parts
-                dump.violations.append(
-                    NestingViolation(
-                        thread_id=int(thread),
-                        wall_ns=int(wall),
-                        site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
-                        detail=detail,
-                    )
-                )
+                else:
+                    code = code.rstrip("\n")
+                    if code == "end_events" and not tab:
+                        break
+                    if code in _RECORD_CODES:
+                        raise ValueError("no fields")
+                    raise DumpFormatError(f"line {self.line}: unknown event record {code!r}")
             else:
-                raise DumpFormatError(f"line {i}: unknown event record {code!r}")
-        else:
-            raise DumpFormatError("unterminated event section")
-    except (ValueError, KeyError) as exc:
-        raise DumpFormatError(f"line {i}: malformed {code!r} record ({exc})") from None
-    events, violations, dump.coarse = _parse_footer(lines[i:])
-    if (events, violations) != (len(dump.events), len(dump.violations)):
-        raise DumpFormatError(
-            f"footer counts {events} events and {violations} violations, "
-            f"the body holds {len(dump.events)} and {len(dump.violations)}"
-        )
-    return dump
+                raise DumpFormatError("unterminated event section")
+            body = self.line - first - len(self.violations)
+            events, violations, self.coarse, at = _parse_footer(
+                line.rstrip("\n") for line in self._file
+            )
+        except (DumpFormatError, UnicodeDecodeError) as exc:
+            raise self._error(str(exc)) from None
+        except (ValueError, KeyError) as exc:
+            raise self._error(f"line {self.line}: malformed {code!r} record ({exc})") from None
+        if (events, violations) != (body, len(self.violations)):
+            raise self._error(
+                f"line {self.line + 1 + at}: footer counts {events} events and "
+                f"{violations} violations, the body holds {body} and {len(self.violations)}"
+            )
+
+    def _error(self, message: str) -> DumpFormatError:
+        return DumpFormatError(f"{self.path}: {message}")
+
+
+def _parse_site(text: str) -> CodeSite:
+    file, line, symbol, kind = text.split("\t")
+    return CodeSite(file, int(line), symbol, _CODE_KIND[kind])
+
+
+def _event_of(rec: tuple) -> ProfileEvent:
+    code, site, wall, cpu, tag, thread, stack = rec
+    if stack is not None:
+        return ProfileEvent(thread, site, EventKind.SAMPLE, wall, cpu, stack=stack)
+    kind = EventKind.ENTER if code == "E" else EventKind.EXIT
+    return ProfileEvent(thread, site, kind, wall, cpu, tag)
 
 
 def read_dump(path: Path | str) -> Dump:
-    """Parse a whole dump, event lines included."""
-    path = Path(path)
-    try:
-        return _parse_dump(path.read_text(encoding="utf-8").splitlines())
-    except (DumpFormatError, UnicodeDecodeError) as exc:
-        raise DumpFormatError(f"{path}: {exc}") from None
+    """Parse a whole dump into a :class:`Dump` of materialized events."""
+    with DumpStream(path) as stream:
+        events = [_event_of(rec) for rec in stream.records()]
+    return Dump(stream.meta, stream.calibration, events, stream.violations, stream.coarse)
 
 
 def read_dump_info(path: Path | str) -> DumpInfo:
@@ -358,7 +434,7 @@ def read_dump_info(path: Path | str) -> DumpInfo:
         at = tail.rfind(_END_EVENTS)
         if at < 0:
             raise DumpFormatError("no end_events line near the end: the dump is torn")
-        events, violations, coarse = _parse_footer(
+        events, violations, coarse, _ = _parse_footer(
             tail[at + len(_END_EVENTS):].decode("utf-8").splitlines()
         )
     except (DumpFormatError, UnicodeDecodeError) as exc:

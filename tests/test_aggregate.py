@@ -16,7 +16,8 @@ from helpers import (
     site,
     stream,
 )
-from planeprof.instrument.events import SiteKind
+from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump
+from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.model.aggregate import (
     MalformedStream,
     UnknownScope,
@@ -24,6 +25,7 @@ from planeprof.model.aggregate import (
     aggregate_regions,
     aggregate_threads,
     bracketed_span_ns,
+    walk_stream,
 )
 
 
@@ -271,3 +273,92 @@ class TestBracketedSpan:
             ("exit", "b", 50),
         )
         assert bracketed_span_ns(events) == {1: 40}
+
+
+# Two threads whose blocks interleave, the higher thread id first. Thread
+# 2 closes ``work`` before ``poll`` and tags ``poll`` "x"; thread 9 closes
+# ``poll`` first and tags it "poll". Merging in ascending thread id gives
+# the rows in the order work, poll, main and the tag "x".
+_HEADER = """profile-dump 2
+run_id r
+entity e
+end_header
+"""
+_INTERLEAVED = """\
+E\t9\t100\t1\ta.py\t1\tmain\tF\t-
+E\t9\t110\t2\ta.py\t5\tpoll\tR\tpoll
+X\t9\t150\t3\ta.py\t5\tpoll\tR\t-
+E\t2\t105\t1\ta.py\t1\tmain\tF\t-
+E\t2\t120\t1\ta.py\t9\twork\tF\t-
+E\t2\t125\t1\ta.py\t9\twork\tF\t-
+X\t2\t130\t1\ta.py\t9\twork\tF\t-
+E\t9\t160\t4\ta.py\t5\tpoll\tR\tpoll
+X\t9\t170\t5\ta.py\t5\tpoll\tR\t-
+X\t2\t140\t1\ta.py\t9\twork\tF\t-
+E\t2\t142\t1\ta.py\t5\tpoll\tR\tx
+X\t2\t144\t1\ta.py\t5\tpoll\tR\t-
+X\t2\t200\t1\ta.py\t1\tmain\tF\t-
+X\t9\t300\t6\ta.py\t1\tmain\tF\t-
+E\t9\t301\t7\ta.py\t7\tlonely\tF\t-
+end_events
+counts\t15\t0
+end_dump
+"""
+
+
+class TestStreamedWalk:
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        path = tmp_path / "interleaved.dump"
+        path.write_text(_HEADER + _INTERLEAVED)
+        return path
+
+    def test_interleaved_threads_match_materialized(self, interleaved):
+        events = read_dump(interleaved).events
+        scope = CodeSite("a.py", 1, "main", SiteKind.FUNCTION)
+        with DumpStream(interleaved) as stream:
+            streamed = walk_stream(stream, scope_symbol="main")
+        assert streamed.scope == scope
+        profile = streamed.function_profile()
+        expected = aggregate_functions(events)
+        assert list(profile.rows.items()) == list(expected.rows.items())
+        assert [s.symbol for s in profile.rows] == ["work", "poll", "main"]
+        assert profile.rows[CodeSite("a.py", 5, "poll", SiteKind.REGION)].tag == "x"
+        assert profile.wall_span_ns == expected.wall_span_ns == 95 + 200
+        work = profile.rows[CodeSite("a.py", 9, "work", SiteKind.FUNCTION)]
+        assert (work.ncalls_total, work.ncalls_primitive, work.tottime_ns, work.cumtime_ns) == (
+            2, 1, 20, 20
+        )
+        main = profile.rows[scope]
+        assert (main.tottime_ns, main.cumtime_ns) == (73 + 150, 295)
+        assert streamed.thread_table() == aggregate_threads(events)
+        assert [r.name for r in streamed.thread_table()] == ["2", "2", "2", "9", "9"]
+        assert streamed.spans() == bracketed_span_ns(events) == {2: 95, 9: 200}
+        regions = streamed.region_profile()
+        expected_regions = aggregate_regions(events, scope)
+        assert list(regions.rows.items()) == list(expected_regions.rows.items())
+        assert regions.scope_time_ns == expected_regions.scope_time_ns == 295
+        assert regions.rows[CodeSite("a.py", 5, "poll", SiteKind.REGION)].hits == 3
+
+    def test_sorted_event_list_gives_the_same_rows(self, interleaved):
+        events = read_dump(interleaved).events
+        by_thread = sorted(events, key=lambda e: e.thread_id)  # stable within a thread
+        a, b = aggregate_functions(events), aggregate_functions(by_thread)
+        assert list(a.rows.items()) == list(b.rows.items())
+
+    def test_missing_scope_symbol_finds_nothing(self, interleaved):
+        with DumpStream(interleaved) as stream:
+            streamed = walk_stream(stream, scope_symbol="absent")
+        assert streamed.scope is None
+        with pytest.raises(UnknownScope):
+            streamed.region_profile()
+
+    def test_backwards_clock_names_file_and_line(self, tmp_path):
+        path = tmp_path / "regressed.dump"
+        path.write_text(_HEADER + _INTERLEAVED.replace("X\t9\t170\t", "X\t9\t1\t"))
+        with DumpStream(path) as stream:
+            with pytest.raises(DumpFormatError) as info:
+                walk_stream(stream)
+        assert str(info.value) == (
+            f"{path}: line 13: wall clock regressed on thread 9: 1 < 160"
+        )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import shutil
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +14,16 @@ import planeprof.cli
 import planeprof.instrument.dumpio
 import planeprof.reporting.summary as summary
 from planeprof.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from planeprof.instrument.dumpio import DumpInfo, read_dump
+from planeprof.instrument.dumpio import DumpInfo, DumpMeta, DumpStream, read_dump, write_dump
+from planeprof.instrument.events import CodeSite, EventKind, ProfileEvent, SiteKind
+from planeprof.instrument.recorder import ClockCalibration
+from planeprof.model.aggregate import (
+    aggregate_regions,
+    aggregate_threads,
+    profile_from_dump,
+    profile_from_path,
+    walk_stream,
+)
 from planeprof.reporting.exports import import_function_csv
 from planeprof.testbed.config import ScenarioConfig, write_scenario
 
@@ -147,7 +158,6 @@ class TestRun:
         def refuse(path):
             raise AssertionError(f"read_dump({path}) after a run")
 
-        monkeypatch.setattr(planeprof.cli, "read_dump", refuse)
         monkeypatch.setattr(planeprof.instrument.dumpio, "read_dump", refuse)
         out = tmp_path / "run"
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == EXIT_OK
@@ -208,6 +218,101 @@ class TestAnalyze:
         code = main(["analyze", "--dumps", str(torn), "--out", str(tmp_path / "f.json")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {victim}: line ")
+
+
+    def test_backwards_wall_clock_is_config_error(self, run_dir, tmp_path, capsys):
+        copy = shutil.copytree(run_dir / "dumps", tmp_path / "regressed")
+        victim = copy / "gc.dump"
+        lines = victim.read_text().split("\n")
+        # an enter that follows a record of its own thread, so its clock goes back
+        at = [
+            i for i, line in enumerate(lines)
+            if line.startswith("E\t")
+            and lines[i - 1][:1] in ("E", "X")
+            and lines[i - 1].split("\t")[1] == line.split("\t")[1]
+        ][-1]
+        fields = lines[at].split("\t")
+        fields[2] = "1"
+        lines[at] = "\t".join(fields)
+        victim.write_text("\n".join(lines))
+        code = main(["analyze", "--dumps", str(copy), "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: line {at + 1}: wall clock regressed on thread ")
+        assert "Traceback" not in err
+
+
+class TestStreaming:
+    """analyze, report and compare stream each dump into the walk."""
+
+    def test_streamed_tables_equal_materialized(self, run_dir):
+        for path in sorted((run_dir / "dumps").glob("*.dump")):
+            dump = read_dump(path)
+            expected = profile_from_dump(dump)
+            profile = profile_from_path(path)
+            assert list(profile.rows.items()) == list(expected.rows.items())
+            assert profile.wall_span_ns == expected.wall_span_ns
+            assert (profile.run_id, profile.sources) == (expected.run_id, expected.sources)
+            scopes = [e.site for e in dump.events if e.site.kind is SiteKind.FUNCTION]
+            with DumpStream(path) as stream:
+                streamed = walk_stream(stream, scope_symbol=scopes[0].symbol if scopes else None)
+            assert streamed.thread_table() == aggregate_threads(dump.events)
+            if scopes:
+                assert streamed.scope == scopes[0]
+                regions = streamed.region_profile()
+                expected_regions = aggregate_regions(dump.events, scopes[0])
+                assert list(regions.rows.items()) == list(expected_regions.rows.items())
+                assert regions.scope_time_ns == expected_regions.scope_time_ns
+
+    def test_dump_readers_never_materialize(self, run_dir, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read_dump({path}) while streaming")
+
+        monkeypatch.setattr(planeprof.instrument.dumpio, "read_dump", refuse)
+        commands = [
+            ["analyze", "--dumps", str(run_dir)],
+            ["report", "--dumps", str(run_dir), "--kind", "function_table"],
+            ["report", "--dumps", str(run_dir), "--kind", "thread_table", "--entity", "gc"],
+            ["report", "--dumps", str(run_dir), "--kind", "line_table",
+             "--scope", "start_global_controller"],
+            ["compare", "--before", str(run_dir), "--after", str(run_dir)],
+        ]
+        for i, args in enumerate(commands):
+            assert main([*args, "--out", str(tmp_path / f"out{i}")]) == EXIT_OK, args
+
+    def test_line_table_scope_is_a_bracketed_site(self, tmp_path):
+        # a sample's leaf frame names the function at its current line,
+        # not at its definition: it must not be taken for the scope
+        main_fn = CodeSite("m.py", 1, "main", SiteKind.FUNCTION)
+        nap = CodeSite("m.py", 5, "nap", SiteKind.REGION)
+        events = [
+            ProfileEvent(1, CodeSite("m.py", 6, "main"), EventKind.SAMPLE, 5, 5,
+                         stack=(CodeSite("m.py", 6, "main"),)),
+            ProfileEvent(1, main_fn, EventKind.ENTER, 10, 10),
+            ProfileEvent(1, nap, EventKind.ENTER, 20, 20, tag="sleep"),
+            ProfileEvent(1, nap, EventKind.EXIT, 60, 21),
+            ProfileEvent(1, main_fn, EventKind.EXIT, 110, 22),
+        ]
+        (tmp_path / "dumps").mkdir()
+        write_dump(tmp_path / "dumps" / "m.dump", DumpMeta("r", "m"),
+                   ClockCalibration(1, 1, 0, 1), events)
+        out = tmp_path / "lines.csv"
+        code = main(["report", "--dumps", str(tmp_path), "--kind", "line_table",
+                     "--scope", "main", "--format", "csv", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "nap" in out.read_text()
+
+    def test_cli_import_leaves_the_testbed_out(self):
+        probe = (
+            "import sys, planeprof.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('planeprof.testbed')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        loaded = done.stdout.strip()
+        assert "planeprof.testbed.orchestrator" not in loaded
+        assert "planeprof.testbed.entity" not in loaded
 
 
 class TestReport:

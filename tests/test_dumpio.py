@@ -11,6 +11,7 @@ from planeprof.instrument.dumpio import (
     DumpFormatError,
     DumpInfo,
     DumpMeta,
+    DumpStream,
     read_dump,
     read_dump_info,
     write_dump,
@@ -202,3 +203,50 @@ class TestErrors:
             read_dump(path)
         with pytest.raises(DumpFormatError, match="no end_events"):
             read_dump_info(path)
+
+
+class TestStream:
+    def test_records_carry_the_recorder_layout(self, tmp_path):
+        f = site("poll_wait", SiteKind.REGION)
+        events = sample_events() + [
+            ProfileEvent(1, f, EventKind.ENTER, 4000, 20),
+            ProfileEvent(1, f, EventKind.EXIT, 4500, 21),
+        ]
+        path = write_dump(tmp_path / "x.dump", META, CAL, events)
+        with DumpStream(path) as stream:
+            assert (stream.meta, stream.calibration) == (META, CAL)
+            records = list(stream.records())
+        assert records[0] == ("E", f, 1000, 10, "poll", 1, None)
+        assert records[1] == ("X", f, 2500, 12, None, 1, None)
+        stack = (site("main"), site("spin"))
+        assert records[2] == ("S", site("spin"), 3000, 15, None, 2, stack)
+        # equal sites are one object, so the walk may compare them with ``is``
+        assert records[0][1] is records[1][1] is records[3][1] is records[4][1]
+        assert records[2][1] is records[2][6][-1]
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (("end_events", "E\t1\t2\nend_events"), "line 18: malformed 'E' record"),
+            (("end_events", "E\nend_events"), "line 18: malformed 'E' record"),
+            (("end_events", "Q\t1\t2\nend_events"), "line 18: unknown event record 'Q'"),
+            (("counts\t3\t0", "counts\t4\t0"), "line 19: footer counts 4 events"),
+        ],
+    )
+    def test_streamed_errors_name_file_and_line(self, tmp_path, edit, needle):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        path.write_text(path.read_text().replace(*edit))
+        with DumpStream(path) as stream:
+            with pytest.raises(DumpFormatError) as info:
+                for _ in stream.records():
+                    pass
+        assert str(info.value).startswith(f"{path}: {needle}")
+
+    def test_counts_are_checked_before_the_stream_ends(self, tmp_path):
+        path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
+        path.write_text(path.read_text().replace("counts\t3\t0", "counts\t2\t0"))
+        seen = []
+        with DumpStream(path) as stream:
+            with pytest.raises(DumpFormatError, match="footer counts 2 events"):
+                seen.extend(stream.records())
+        assert len(seen) == 3  # every record came out, and then the check failed
