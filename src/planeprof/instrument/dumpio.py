@@ -2,7 +2,7 @@
 
 Layout (tab-separated records, one per line, stable field order):
 
-    profile-dump 2
+    profile-dump 3
     run_id <id>
     entity <name>
     role <role>
@@ -16,7 +16,9 @@ Layout (tab-separated records, one per line, stable field order):
     cpu_refresh_wall_ns <int>   # 0 = CPU clock read on every event
     pair_overhead_ns <int>      # calibrated enter/exit pair cost
     end_header
-    E\t<thread>\t<wall_ns>\t<cpu_ns>\t<file>\t<line>\t<symbol>\t<site kind>\t<tag or ->
+    T\t<thread>                 # opens the block of that thread's E/X records
+    site\t<n>\t<file>\t<line>\t<symbol>\t<site kind>   # defines site n
+    E\t<wall_ns>\t<cpu_ns>\t<site n>\t<tag or ->
     X\t... (same fields)
     S\t<thread>\t<wall_ns>\t<cpu_ns>\t<frame>|<frame>|...   frame = file:line:symbol
     V\t<thread>\t<wall_ns>\t<file>\t<line>\t<symbol>\t<site kind>\t<detail>
@@ -25,12 +27,22 @@ Layout (tab-separated records, one per line, stable field order):
     coarse\t<elapsed_s>\t<user_s>\t<system_s>
     end_dump
 
+An ``E`` or ``X`` record belongs to the thread of the last ``T`` line and
+names its site by number. Sites are numbered from 0 in each dump, and
+each is defined by one ``site`` line before its first use. ``S`` and
+``V`` records name their own thread and sites and leave the open block
+as it is. Thread blocks may interleave, and a thread may open several.
+``T`` and ``site`` lines are not counted in the footer. Versions 1 and 2
+(no counts footer; a thread id and a site text on every event line) are
+rejected by name: re-run the scenario to get version-3 dumps.
+
 All times are integer nanoseconds except the coarse footer, which keeps
 the float seconds the OS reported. The coarse line is optional. The
 footer lines have bounded length, so :func:`read_dump_info` reads the
 header and the last few kilobytes and never the event lines.
-:class:`DumpStream` is the one parser of the event lines: it yields them
-as record tuples while it reads, and :func:`read_dump` materializes them.
+:func:`_format_records` is the one formatter of the event lines and
+:class:`DumpStream` their one parser: it yields them as record tuples
+while it reads, and :func:`read_dump` materializes them.
 """
 
 from __future__ import annotations
@@ -52,12 +64,12 @@ from planeprof.instrument.events import (
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import ClockCalibration
 
-FORMAT_LINE = "profile-dump 2"
+FORMAT_LINE = "profile-dump 3"
 
 _KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 _EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X", EventKind.SAMPLE: "S"}
-_RECORD_CODES = ("E", "X", "S", "V")
+_RECORD_CODES = ("E", "X", "S", "V", "T", "site")
 
 # Room for the footer lines after ``end_events``, whose length is bounded.
 _TAIL_BYTES = 4096
@@ -120,19 +132,28 @@ def _parse_frame(text: str) -> CodeSite:
 
 
 def _format_records(records: Records, lines: List[str]) -> int:
-    """Append one event line per record to ``lines``; return how many.
+    """Append the event lines of ``records`` to ``lines``; return how many
+    records they hold.
 
-    This is the only place an event line is formatted. A sample without a
-    stack is skipped: the recorder never keeps one and a reader could not
-    rebuild it.
+    This is the only place event lines are formatted. An enter or exit
+    opens its thread's block with a ``T`` line unless that block is the
+    open one, and a site gets its ``site`` line before its first use.
+    Sites with equal text share one number, and the lines depend only on
+    the order of the records, so a dump read back and written again is
+    byte-identical. A sample without a stack is skipped: the recorder
+    never keeps one and a reader could not rebuild it.
     """
     # Keyed by id(): every site stays referenced by a record for the whole
     # call, so no id is reused, and id() is far cheaper than hashing a
     # dataclass. Sampled frames are fresh objects each time, so they are
     # not cached.
-    site_fields: Dict[int, str] = {}
+    numbers: Dict[int, str] = {}  # id(site) -> site number
+    by_text: Dict[str, str] = {}  # site text -> site number
+    tags: Dict[Optional[str], str] = {None: "-"}
     append = lines.append
     start = len(lines)
+    blocks = 0
+    block = None
     for thread, recs in records:
         for rec in recs:
             code = rec[0]
@@ -141,16 +162,28 @@ def _format_records(records: Records, lines: List[str]) -> int:
                 if stack:
                     frames = "|".join([_frame_str(s) for s in stack])
                     append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
-            else:
-                site = rec[1]
-                text = site_fields.get(id(site))
-                if text is None:
-                    text = site_fields[id(site)] = (
-                        f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
-                        f"\t{_KIND_CODE[site.kind]}"
-                    )
-                append(f"{code}\t{thread}\t{rec[2]}\t{rec[3]}\t{text}\t{rec[4] or '-'}")
-    return len(lines) - start
+                continue
+            if thread != block:
+                block = thread
+                blocks += 1
+                append(f"T\t{thread}")
+            site = rec[1]
+            number = numbers.get(id(site))
+            if number is None:
+                text = (
+                    f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
+                    f"\t{_KIND_CODE[site.kind]}"
+                )
+                number = by_text.get(text)
+                if number is None:
+                    number = by_text[text] = str(len(by_text))
+                    append(f"site\t{number}\t{text}")
+                numbers[id(site)] = number
+            tag = tags.get(rec[4])
+            if tag is None:
+                tag = tags[rec[4]] = _clean(rec[4]) or "-"
+            append(f"{code}\t{rec[2]}\t{rec[3]}\t{number}\t{tag}")
+    return len(lines) - start - blocks - len(by_text)
 
 
 def records_of(
@@ -295,15 +328,16 @@ class DumpStream:
 
     :meth:`records` yields one ``(code, site, wall_ns, cpu_ns, tag, thread,
     stack)`` tuple per ``E``, ``X`` or ``S`` line, the layout of
-    :meth:`Recorder.records`: ``thread`` is the subject thread and
-    ``stack`` is ``None`` except on samples, whose ``site`` is the leaf
-    frame. Each distinct site text becomes one :class:`CodeSite`, and
-    equal sites are one object, so consumers may compare sites with
-    ``is``. Every line is validated; ``V`` records are collected in
-    :attr:`violations`. The counts footer is checked against the body
-    before the generator finishes, so a consumer has used no result of
-    a dump that fails it. :attr:`line` is the number of the line last
-    read, for errors a consumer finds in a record.
+    :meth:`Recorder.records`: ``thread`` is the open block's thread, or a
+    sample's subject thread, and ``stack`` is ``None`` except on samples,
+    whose ``site`` is the leaf frame. Each ``site`` line and each distinct
+    frame text becomes one :class:`CodeSite`, and equal sites are one
+    object, so consumers may compare sites with ``is``. Every line is
+    validated; ``V`` records are collected in :attr:`violations`. The
+    counts footer is checked against the body before the generator
+    finishes, so a consumer has used no result of a dump that fails it.
+    :attr:`line` is the number of the line last read, for errors a
+    consumer finds in a record.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -327,34 +361,46 @@ class DumpStream:
         self._file.close()
 
     def records(self) -> Iterator[tuple]:
-        sites: Dict[str, CodeSite] = {}  # site text -> interned site
+        sites: Dict[str, CodeSite] = {}  # site number -> interned site
+        # the last two fields of an E/X line, newline included -> (site, tag)
+        refs: Dict[str, Tuple[CodeSite, Optional[str]]] = {}
         frames: Dict[str, CodeSite] = {}  # sample frame text -> interned site
         by_value: Dict[CodeSite, CodeSite] = {}
-        threads: Dict[str, int] = {}
-        # a tag is the last field, so its text keeps the line's newline
-        tags: Dict[str, Optional[str]] = {"-\n": None, "-": None}
+        thread: Optional[int] = None  # the open block's
+        uncounted = 0  # T and site lines
         first = self.line + 1
         code = ""
         try:
             for self.line, text in enumerate(self._file, first):
-                code, tab, rest = text.partition("\t")
+                fields = text.split("\t", 3)
+                code = fields[0]
                 if code == "E" or code == "X":
-                    thread, wall, cpu, site_tag = rest.split("\t", 3)
-                    site_text, _, tag = site_tag.rpartition("\t")
-                    site = sites.get(site_text)
-                    if site is None:
-                        site = _parse_site(site_text)
-                        site = sites[site_text] = by_value.setdefault(site, site)
-                    ident = threads.get(thread)
-                    if ident is None:
-                        ident = threads[thread] = int(thread)
-                    if tag in tags:
-                        tag = tags[tag]
-                    else:
-                        tag = tags[tag] = tag.rstrip("\n")
-                    yield code, site, int(wall), int(cpu), tag, ident, None
+                    _, wall, cpu, ref = fields
+                    site_tag = refs.get(ref)
+                    if site_tag is None:
+                        number, tag = ref.rstrip("\n").split("\t")
+                        if number not in sites:
+                            raise DumpFormatError(
+                                f"line {self.line}: unknown site number {number!r}"
+                            )
+                        site_tag = refs[ref] = (sites[number], None if tag == "-" else tag)
+                    if thread is None:
+                        raise DumpFormatError(f"line {self.line}: {code!r} before any T line")
+                    yield code, site_tag[0], int(wall), int(cpu), site_tag[1], thread, None
+                elif code == "T":
+                    _, thread_text = fields
+                    thread = int(thread_text)
+                    uncounted += 1
+                elif code == "site":
+                    _, number, site_text = text.rstrip("\n").split("\t", 2)
+                    if number in sites:
+                        raise DumpFormatError(f"line {self.line}: site {number!r} defined twice")
+                    int(number)  # numbers are integers, kept as their text
+                    site = _parse_site(site_text)
+                    sites[number] = by_value.setdefault(site, site)
+                    uncounted += 1
                 elif code == "S":
-                    thread, wall, cpu, stack_text = rest.rstrip("\n").split("\t")
+                    _, thread_text, wall, cpu, stack_text = text.rstrip("\n").split("\t")
                     stack = []
                     for frame in stack_text.split("|"):
                         site = frames.get(frame)
@@ -362,12 +408,14 @@ class DumpStream:
                             site = _parse_frame(frame)
                             site = frames[frame] = by_value.setdefault(site, site)
                         stack.append(site)
-                    yield "S", stack[-1], int(wall), int(cpu), None, int(thread), tuple(stack)
+                    yield "S", stack[-1], int(wall), int(cpu), None, int(thread_text), tuple(stack)
                 elif code == "V":
-                    thread, wall, file, lineno, symbol, kind, detail = rest.rstrip("\n").split("\t")
+                    _, thread_text, wall, file, lineno, symbol, kind, detail = (
+                        text.rstrip("\n").split("\t")
+                    )
                     self.violations.append(
                         NestingViolation(
-                            thread_id=int(thread),
+                            thread_id=int(thread_text),
                             wall_ns=int(wall),
                             site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
                             detail=detail,
@@ -375,14 +423,14 @@ class DumpStream:
                     )
                 else:
                     code = code.rstrip("\n")
-                    if code == "end_events" and not tab:
+                    if code == "end_events" and len(fields) == 1:
                         break
                     if code in _RECORD_CODES:
                         raise ValueError("no fields")
                     raise DumpFormatError(f"line {self.line}: unknown event record {code!r}")
             else:
                 raise DumpFormatError("unterminated event section")
-            body = self.line - first - len(self.violations)
+            body = self.line - first - len(self.violations) - uncounted
             events, violations, self.coarse, at = _parse_footer(
                 line.rstrip("\n") for line in self._file
             )

@@ -8,6 +8,7 @@ thread itself.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -29,13 +30,35 @@ class SampleRun:
     target_terminated: bool
 
 
+# sys._current_frames() holds the interpreter's thread-list lock while it
+# builds frame objects. Before CPython 3.12, a garbage collection that one
+# of those allocations starts can run Python callbacks that hand the GIL to
+# a thread that then waits for that lock: every thread stops. Samplers in
+# one process take turns, and collection is off while one takes a snapshot.
+_SNAPSHOT_LOCK = threading.Lock()
+
+
+def _current_frames() -> Dict[int, object]:
+    with _SNAPSHOT_LOCK:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return sys._current_frames()
+        finally:
+            if collecting:
+                gc.enable()
+
+
 def _stack_from_frame(frame) -> Tuple[CodeSite, ...]:
     sites: List[CodeSite] = []
     while frame is not None:
+        # f_lineno is None while a frame runs an instruction that has no
+        # line of its own; such a sample names the function's def line
+        line = frame.f_lineno
         sites.append(
             CodeSite(
                 file=os.path.basename(frame.f_code.co_filename),
-                line=frame.f_lineno,
+                line=frame.f_code.co_firstlineno if line is None else line,
                 symbol=frame.f_code.co_name,
                 kind=SiteKind.FUNCTION,
             )
@@ -72,7 +95,7 @@ class StackSampler:
 
     def _tick(self) -> bool:
         """Sample once; returns False when explicit targets are all gone."""
-        frames = sys._current_frames()
+        frames = _current_frames()
         me = threading.get_ident()
         wall = time.monotonic_ns()
         cpu = time.process_time_ns()

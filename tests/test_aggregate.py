@@ -16,7 +16,7 @@ from helpers import (
     site,
     stream,
 )
-from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump
+from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump, write_dump
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.model.aggregate import (
     MalformedStream,
@@ -279,27 +279,37 @@ class TestBracketedSpan:
 # 2 closes ``work`` before ``poll`` and tags ``poll`` "x"; thread 9 closes
 # ``poll`` first and tags it "poll". Merging in ascending thread id gives
 # the rows in the order work, poll, main and the tag "x".
-_HEADER = """profile-dump 2
+_HEADER = """profile-dump 3
 run_id r
 entity e
 end_header
 """
+# two threads whose blocks interleave 9/2/9/2/9, higher id first
 _INTERLEAVED = """\
-E\t9\t100\t1\ta.py\t1\tmain\tF\t-
-E\t9\t110\t2\ta.py\t5\tpoll\tR\tpoll
-X\t9\t150\t3\ta.py\t5\tpoll\tR\t-
-E\t2\t105\t1\ta.py\t1\tmain\tF\t-
-E\t2\t120\t1\ta.py\t9\twork\tF\t-
-E\t2\t125\t1\ta.py\t9\twork\tF\t-
-X\t2\t130\t1\ta.py\t9\twork\tF\t-
-E\t9\t160\t4\ta.py\t5\tpoll\tR\tpoll
-X\t9\t170\t5\ta.py\t5\tpoll\tR\t-
-X\t2\t140\t1\ta.py\t9\twork\tF\t-
-E\t2\t142\t1\ta.py\t5\tpoll\tR\tx
-X\t2\t144\t1\ta.py\t5\tpoll\tR\t-
-X\t2\t200\t1\ta.py\t1\tmain\tF\t-
-X\t9\t300\t6\ta.py\t1\tmain\tF\t-
-E\t9\t301\t7\ta.py\t7\tlonely\tF\t-
+T\t9
+site\t0\ta.py\t1\tmain\tF
+E\t100\t1\t0\t-
+site\t1\ta.py\t5\tpoll\tR
+E\t110\t2\t1\tpoll
+X\t150\t3\t1\t-
+T\t2
+E\t105\t1\t0\t-
+site\t2\ta.py\t9\twork\tF
+E\t120\t1\t2\t-
+E\t125\t1\t2\t-
+X\t130\t1\t2\t-
+T\t9
+E\t160\t4\t1\tpoll
+X\t170\t5\t1\t-
+T\t2
+X\t140\t1\t2\t-
+E\t142\t1\t1\tx
+X\t144\t1\t1\t-
+X\t200\t1\t0\t-
+T\t9
+X\t300\t6\t0\t-
+site\t3\ta.py\t7\tlonely\tF
+E\t301\t7\t3\t-
 end_events
 counts\t15\t0
 end_dump
@@ -314,7 +324,11 @@ class TestStreamedWalk:
         return path
 
     def test_interleaved_threads_match_materialized(self, interleaved):
-        events = read_dump(interleaved).events
+        dump = read_dump(interleaved)
+        events = dump.events
+        # the writer lays the same records out the same way
+        again = write_dump(interleaved.with_name("again.dump"), dump.meta, dump.calibration, events)
+        assert again.read_text().endswith("end_header\n" + _INTERLEAVED)
         scope = CodeSite("a.py", 1, "main", SiteKind.FUNCTION)
         with DumpStream(interleaved) as stream:
             streamed = walk_stream(stream, scope_symbol="main")
@@ -355,10 +369,10 @@ class TestStreamedWalk:
 
     def test_backwards_clock_names_file_and_line(self, tmp_path):
         path = tmp_path / "regressed.dump"
-        path.write_text(_HEADER + _INTERLEAVED.replace("X\t9\t170\t", "X\t9\t1\t"))
+        path.write_text(_HEADER + _INTERLEAVED.replace("X\t170\t", "X\t1\t"))
         with DumpStream(path) as stream:
             with pytest.raises(DumpFormatError) as info:
                 walk_stream(stream)
         assert str(info.value) == (
-            f"{path}: line 13: wall clock regressed on thread 9: 1 < 160"
+            f"{path}: line 19: wall clock regressed on thread 9: 1 < 160"
         )

@@ -7,6 +7,7 @@ import shutil
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,38 @@ def run_dir(scenario_file, tmp_path_factory):
     code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def sampled_run_dir(scenario_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "sampled"
+    levels = "coarse,function,sample"
+    code = main(["run", "--scenario", str(scenario_file), "--out", str(out), "--levels", levels])
+    assert code == EXIT_OK
+    return out
+
+
+def assert_streamed_equals_materialized(path):
+    dump = read_dump(path)
+    expected = profile_from_dump(dump)
+    profile = profile_from_path(path)
+    assert list(profile.rows.items()) == list(expected.rows.items())
+    assert profile.wall_span_ns == expected.wall_span_ns
+    assert (profile.run_id, profile.sources) == (expected.run_id, expected.sources)
+    # a scope is a bracketed site, never a sample's frame
+    scopes = [
+        e.site for e in dump.events
+        if e.site.kind is SiteKind.FUNCTION and e.kind is not EventKind.SAMPLE
+    ]
+    with DumpStream(path) as stream:
+        streamed = walk_stream(stream, scope_symbol=scopes[0].symbol if scopes else None)
+    assert streamed.thread_table() == aggregate_threads(dump.events)
+    if scopes:
+        assert streamed.scope == scopes[0]
+        regions = streamed.region_profile()
+        expected_regions = aggregate_regions(dump.events, scopes[0])
+        assert list(regions.rows.items()) == list(expected_regions.rows.items())
+        assert regions.scope_time_ns == expected_regions.scope_time_ns
 
 
 class TestRun:
@@ -214,25 +247,27 @@ class TestAnalyze:
         victim = max(torn.glob("*.dump"), key=lambda p: p.stat().st_size)
         data = victim.read_bytes()
         middle = data.index(b"\nE\t", len(data) // 2)
-        victim.write_bytes(data[: middle + 4])  # "\nE\t" and one digit of the thread id
+        victim.write_bytes(data[: middle + 4])  # "\nE\t" and one digit of the wall clock
         code = main(["analyze", "--dumps", str(torn), "--out", str(tmp_path / "f.json")])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {victim}: line ")
+        line = data.count(b"\n", 0, middle) + 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {victim}: line {line}: malformed 'E' record"
+        )
 
 
     def test_backwards_wall_clock_is_config_error(self, run_dir, tmp_path, capsys):
         copy = shutil.copytree(run_dir / "dumps", tmp_path / "regressed")
         victim = copy / "gc.dump"
         lines = victim.read_text().split("\n")
-        # an enter that follows a record of its own thread, so its clock goes back
+        # an enter right after an enter or exit is in the same thread block,
+        # so its clock goes back
         at = [
             i for i, line in enumerate(lines)
-            if line.startswith("E\t")
-            and lines[i - 1][:1] in ("E", "X")
-            and lines[i - 1].split("\t")[1] == line.split("\t")[1]
+            if line.startswith("E\t") and lines[i - 1][:2] in ("E\t", "X\t")
         ][-1]
         fields = lines[at].split("\t")
-        fields[2] = "1"
+        fields[1] = "1"
         lines[at] = "\t".join(fields)
         victim.write_text("\n".join(lines))
         code = main(["analyze", "--dumps", str(copy), "--out", str(tmp_path / "f.json")])
@@ -247,22 +282,20 @@ class TestStreaming:
 
     def test_streamed_tables_equal_materialized(self, run_dir):
         for path in sorted((run_dir / "dumps").glob("*.dump")):
+            assert_streamed_equals_materialized(path)
+
+    def test_sampled_run_round_trips_byte_identically(self, sampled_run_dir, tmp_path):
+        samples = 0
+        for path in sorted((sampled_run_dir / "dumps").glob("*.dump")):
             dump = read_dump(path)
-            expected = profile_from_dump(dump)
-            profile = profile_from_path(path)
-            assert list(profile.rows.items()) == list(expected.rows.items())
-            assert profile.wall_span_ns == expected.wall_span_ns
-            assert (profile.run_id, profile.sources) == (expected.run_id, expected.sources)
-            scopes = [e.site for e in dump.events if e.site.kind is SiteKind.FUNCTION]
-            with DumpStream(path) as stream:
-                streamed = walk_stream(stream, scope_symbol=scopes[0].symbol if scopes else None)
-            assert streamed.thread_table() == aggregate_threads(dump.events)
-            if scopes:
-                assert streamed.scope == scopes[0]
-                regions = streamed.region_profile()
-                expected_regions = aggregate_regions(dump.events, scopes[0])
-                assert list(regions.rows.items()) == list(expected_regions.rows.items())
-                assert regions.scope_time_ns == expected_regions.scope_time_ns
+            samples += sum(e.kind is EventKind.SAMPLE for e in dump.events)
+            again = write_dump(
+                tmp_path / path.name, dump.meta, dump.calibration, dump.events,
+                dump.violations, dump.coarse,
+            )
+            assert again.read_bytes() == path.read_bytes(), path.name
+            assert_streamed_equals_materialized(path)
+        assert samples > 0
 
     def test_dump_readers_never_materialize(self, run_dir, tmp_path, monkeypatch):
         def refuse(path):
@@ -313,6 +346,19 @@ class TestStreaming:
         loaded = done.stdout.strip()
         assert "planeprof.testbed.orchestrator" not in loaded
         assert "planeprof.testbed.entity" not in loaded
+
+
+class TestDumpSize:
+    def test_quick_run_stays_under_45_bytes_per_event(self, tmp_path):
+        scenario = Path(__file__).parents[1] / "scenarios" / "quick.scenario"
+        out = tmp_path / "quick"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        dumps = out / "dumps"
+        size = sum(p.stat().st_size for p in dumps.glob("*.dump"))
+        rows = (dumps / "index.txt").read_text().splitlines()[1:]
+        events = sum(int(row.split("\t")[4]) for row in rows)
+        assert events > 1000
+        assert size / events < 45
 
 
 class TestReport:

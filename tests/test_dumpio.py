@@ -84,7 +84,7 @@ class TestRoundTrip:
     def test_header_layout(self, tmp_path):
         path = write_dump(tmp_path / "x.dump", META, CAL, [])
         lines = path.read_text().splitlines()
-        assert lines[0] == "profile-dump 2"
+        assert lines[0] == "profile-dump 3"
         keys = [l.split(" ", 1)[0] for l in lines[1:13]]
         assert keys == [
             "run_id", "entity", "role", "pid", "scenario", "seed", "levels",
@@ -93,6 +93,35 @@ class TestRoundTrip:
         ]
         assert lines[13] == "end_header"
         assert lines[14:] == ["end_events", "counts\t0\t0", "end_dump"]
+
+    def test_event_section_layout(self, tmp_path):
+        f = site("poll_wait", SiteKind.REGION)
+        g = site("main")
+        events = sample_events() + [
+            ProfileEvent(3, g, EventKind.ENTER, 3100, 1),
+            ProfileEvent(3, CodeSite(f.file, f.line, f.symbol, f.kind), EventKind.ENTER, 3200, 2),
+            ProfileEvent(1, f, EventKind.ENTER, 3300, 16, tag="poll"),
+        ]
+        path = write_dump(tmp_path / "x.dump", META, CAL, events)
+        lines = path.read_text().splitlines()
+        # a block opens only for enters and exits, a site is defined once
+        # before its first use, and equal sites share a number
+        assert lines[14:-3] == [
+            "T\t1",
+            "site\t0\tx.py\t971\tpoll_wait\tR",
+            "E\t1000\t10\t0\tpoll",
+            "X\t2500\t12\t0\t-",
+            "S\t2\t3000\t15\tx.py:421:main|x.py:442:spin",
+            "T\t3",
+            "site\t1\tx.py\t421\tmain\tF",
+            "E\t3100\t1\t1\t-",
+            "E\t3200\t2\t0\t-",
+            "T\t1",
+            "E\t3300\t16\t0\tpoll",
+        ]
+        assert lines[-3:] == ["end_events", "counts\t6\t0", "end_dump"]
+        again = write_dump(tmp_path / "again.dump", META, CAL, read_dump(path).events)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_info_reads_header_and_footer(self, tmp_path):
         violations = [NestingViolation(1, 999, site("oops", SiteKind.REGION), "detail")]
@@ -137,6 +166,17 @@ class TestRoundTrip:
         assert dump.events[0].site.file == "a b.py"
         assert dump.events[0].site.symbol == "fn with newline"
 
+    def test_tabs_in_tags_are_sanitized(self, tmp_path, recorder):
+        where = site("poll_wait", SiteKind.REGION)
+        with recorder.region(where, tag="a\tb"):
+            pass
+        with recorder.region(where, tag="line\nbreak"):
+            pass
+        path = write_records(tmp_path / "x.dump", META, CAL, recorder.records())
+        assert [e.tag for e in read_dump(path).events] == ["a b", None, "line break", None]
+        with DumpStream(path) as stream:
+            assert [r[4] for r in stream.records()] == ["a b", None, "line break", None]
+
 
 class TestErrors:
     def test_not_a_dump(self, tmp_path):
@@ -174,10 +214,25 @@ class TestErrors:
 
     def test_version_1_is_rejected(self, tmp_path):
         path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
-        path.write_text(path.read_text().replace("profile-dump 2", "profile-dump 1", 1))
+        path.write_text(path.read_text().replace("profile-dump 3", "profile-dump 1", 1))
         for reader in (read_dump, read_dump_info):
             with pytest.raises(DumpFormatError, match="'profile-dump 1'"):
                 reader(path)
+
+    def test_version_2_is_rejected(self, tmp_path):
+        path = tmp_path / "v2.dump"
+        path.write_text(
+            "profile-dump 2\nrun_id r\nentity e\nend_header\n"
+            "E\t1\t1000\t10\tf.py\t1\tpoll_wait\tR\tpoll\n"
+            "X\t1\t2500\t12\tf.py\t1\tpoll_wait\tR\t-\n"
+            "end_events\ncounts\t2\t0\nend_dump\n"
+        )
+        for reader in (read_dump, read_dump_info, DumpStream):
+            with pytest.raises(DumpFormatError) as info:
+                reader(path)
+            assert str(info.value) == (
+                f"{path}: unsupported dump format 'profile-dump 2'; expected 'profile-dump 3'"
+            )
 
     @pytest.mark.parametrize(
         "bad, needle",
@@ -186,6 +241,26 @@ class TestErrors:
             ("X\t1\tnot-a-time\t12\tf.py\t1\tpoll_wait\tR\t-", "line 15: malformed 'X' record"),
             ("S\t2\t3000\t15\t", "line 15: malformed 'S' record"),
             ("V\t1\t2\tf.py\t1\tsym\tQ\tdetail", "line 15: malformed 'V' record"),
+            (
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nX\tnot-a-time\t12\t0\t-",
+                "line 17: malformed 'X' record",
+            ),
+            ("T\tone", "line 15: malformed 'T' record"),
+            ("T\t1\nsite\t0\tf.py\t1\tpoll_wait", "line 16: malformed 'site' record"),
+            ("site\tzero\tf.py\t1\tpoll_wait\tR", "line 15: malformed 'site' record"),
+            (
+                "site\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t0\t-",
+                "line 16: 'E' before any T line",
+            ),
+            (
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t1\t-",
+                "line 17: unknown site number '1'",
+            ),
+            (
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t0\t-\n"
+                "site\t0\tf.py\t2\tother\tF",
+                "line 18: site '0' defined twice",
+            ),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, bad, needle):
@@ -199,7 +274,7 @@ class TestErrors:
         path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
         data = path.read_bytes()
         path.write_bytes(data[: data.index(b"\nX\t") + 4])
-        with pytest.raises(DumpFormatError, match=r"x\.dump: line 16: malformed 'X' record"):
+        with pytest.raises(DumpFormatError, match=r"x\.dump: line 18: malformed 'X' record"):
             read_dump(path)
         with pytest.raises(DumpFormatError, match="no end_events"):
             read_dump_info(path)
@@ -227,10 +302,12 @@ class TestStream:
     @pytest.mark.parametrize(
         "edit, needle",
         [
-            (("end_events", "E\t1\t2\nend_events"), "line 18: malformed 'E' record"),
-            (("end_events", "E\nend_events"), "line 18: malformed 'E' record"),
-            (("end_events", "Q\t1\t2\nend_events"), "line 18: unknown event record 'Q'"),
-            (("counts\t3\t0", "counts\t4\t0"), "line 19: footer counts 4 events"),
+            # lines 15-19 are T, site, E, X and S; the edits go in before the X
+            (("\nX\t", "\nE\t1\t2\nX\t"), "line 18: malformed 'E' record"),
+            (("\nX\t", "\nE\nX\t"), "line 18: malformed 'E' record"),
+            (("\nX\t", "\nQ\t1\t2\nX\t"), "line 18: unknown event record 'Q'"),
+            (("counts\t3\t0", "counts\t4\t0"), "line 21: footer counts 4 events"),
+            (("\nX\t2500\t12\t0\t", "\nX\t2500\t12\t7\t"), "line 18: unknown site number '7'"),
         ],
     )
     def test_streamed_errors_name_file_and_line(self, tmp_path, edit, needle):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+from types import SimpleNamespace
 
+import planeprof.instrument.sampler as sampler_module
 from planeprof.instrument.events import EventKind
-from planeprof.instrument.sampler import StackSampler, sample_shares
+from planeprof.instrument.sampler import StackSampler, _stack_from_frame, sample_shares
 
 
 def spin_named(flag: list) -> None:
@@ -28,6 +31,36 @@ def burn_beta(flag):
 
 
 class TestSampler:
+    def test_frame_without_a_line_names_its_def_line(self):
+        # a thread sampled on an instruction without a line has f_lineno None
+        code = spin_named.__code__
+        caller = SimpleNamespace(f_code=burn_alpha.__code__, f_lineno=19, f_back=None)
+        frame = SimpleNamespace(f_code=code, f_lineno=None, f_back=caller)
+        outer, inner = _stack_from_frame(frame)
+        assert (outer.symbol, outer.line) == ("burn_alpha", 19)
+        assert (inner.symbol, inner.line) == ("spin_named", code.co_firstlineno)
+
+    def test_snapshot_runs_alone_with_collection_off(self, monkeypatch):
+        # a collection inside sys._current_frames() can stop every thread
+        # on CPython before 3.12
+        seen = []
+
+        def snapshot():
+            seen.append((gc.isenabled(), sampler_module._SNAPSHOT_LOCK.locked()))
+            return {}
+
+        monkeypatch.setattr(sampler_module, "sys", SimpleNamespace(_current_frames=snapshot))
+        assert gc.isenabled()
+        sampler_module._current_frames()
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            sampler_module._current_frames()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [(False, True), (False, True)]
+
     def test_busy_loop_attribution(self, recorder):
         flag = [True]
         worker = threading.Thread(target=spin_named, args=(flag,))
