@@ -1,29 +1,11 @@
-"""Raw timing evidence collection: events, recorder, sampler, process clocks."""
+"""Raw timing evidence collection: events, recorder, sampler, process clocks.
 
-from planeprof.instrument.events import (
-    CodeSite,
-    EventKind,
-    NestingViolation,
-    ProfileEvent,
-    SiteKind,
-)
-from planeprof.instrument.proctimes import CoarseBreakdown, ProcessNotFound, ProcessTimer
-from planeprof.instrument.recorder import ClockCalibration, Recorder, calibrate_clocks
-from planeprof.instrument.sampler import SampleRun, StackSampler, sample_shares
+Import the submodules directly; this package re-exports only the recorder
+names the benchmark's layer timings use, so that importing a submodule
+loads nothing else, the stack sampler in particular.
+"""
 
-__all__ = [
-    "ClockCalibration",
-    "CoarseBreakdown",
-    "CodeSite",
-    "EventKind",
-    "NestingViolation",
-    "ProcessNotFound",
-    "ProcessTimer",
-    "ProfileEvent",
-    "Recorder",
-    "SampleRun",
-    "SiteKind",
-    "StackSampler",
-    "calibrate_clocks",
-    "sample_shares",
-]
+from planeprof.instrument.events import CodeSite, SiteKind
+from planeprof.instrument.recorder import Recorder, calibrate_clocks
+
+__all__ = ["CodeSite", "Recorder", "SiteKind", "calibrate_clocks"]

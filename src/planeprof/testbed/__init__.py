@@ -6,47 +6,3 @@ host nodes and client hosts. Entities are single-threaded event loops
 that talk only through a length-prefixed message protocol, run either as
 OS processes (default) or as threads for fast tests.
 """
-
-from planeprof.testbed.config import NodeRole, ScenarioConfig, load_scenario, write_scenario
-from planeprof.testbed.orchestrator import (
-    BootstrapPhase,
-    BootstrapTimeout,
-    EntitySpawnFailed,
-    LivenessReport,
-    NoActiveWorkflow,
-    PortUnavailable,
-    RunningTopology,
-    bootstrap,
-    monitor_liveness,
-)
-from planeprof.testbed.wire import Message, MsgType
-from planeprof.testbed.workflows import (
-    LoadReport,
-    WorkflowAction,
-    WorkflowInstance,
-    WorkflowState,
-    adjust_workflows,
-)
-
-__all__ = [
-    "BootstrapPhase",
-    "BootstrapTimeout",
-    "EntitySpawnFailed",
-    "LivenessReport",
-    "LoadReport",
-    "Message",
-    "MsgType",
-    "NoActiveWorkflow",
-    "NodeRole",
-    "PortUnavailable",
-    "RunningTopology",
-    "ScenarioConfig",
-    "WorkflowAction",
-    "WorkflowInstance",
-    "WorkflowState",
-    "adjust_workflows",
-    "bootstrap",
-    "load_scenario",
-    "monitor_liveness",
-    "write_scenario",
-]

@@ -1,8 +1,7 @@
 """Process-mode entity entry point: ``python -m planeprof.testbed``.
 
-The orchestrator spawns entities through this module rather than
-``-m planeprof.testbed.entity``: the package imports ``entity``, and running
-an already-imported module as ``__main__`` makes ``runpy`` warn.
+The package ``__init__`` imports nothing, so a spawned entity loads only
+``entity`` and what it imports, never the orchestrator.
 """
 
 import sys

@@ -8,9 +8,11 @@ Entities share no state; everything crosses the wire.
 Process mode runs :func:`main` in a child interpreter
 (``python -m planeprof.testbed``) configured through
 environment variables (``HOST_NAME``, ``NAME_SERVER_ADDR``,
-``NAME_SERVER_UPDATE_PORT`` and friends); thread mode constructs the same
-classes in-process. Either way each entity records its own profile and
-writes one dump at clean shutdown.
+``NAME_SERVER_UPDATE_PORT`` and friends, plus ``CLOCK_CALIBRATION``, the
+run's clock calibration as four comma-separated integers); thread mode
+constructs the same classes in-process. Either way each entity records its
+own profile with the run's calibration and writes one dump at clean
+shutdown.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from planeprof.instrument.dumpio import DumpMeta, write_records
 from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
 from planeprof.instrument.proctimes import ProcessTimer
-from planeprof.instrument.recorder import Recorder
+from planeprof.instrument.recorder import ClockCalibration, Recorder
 from planeprof.testbed.config import NodeRole
 from planeprof.testbed.wire import (
     FrameDecoder,
@@ -70,6 +72,7 @@ ENV_DUMP_DIR = "DUMP_DIR"
 ENV_PROFILE_LEVELS = "PROFILE_LEVELS"
 ENV_RNG_SEED = "RNG_SEED"
 ENV_SCALE_FACTOR = "SCALE_FACTOR"
+ENV_CLOCK_CALIBRATION = "CLOCK_CALIBRATION"
 
 # Instrumentation sites for the loop hot spots; line numbers are stable
 # labels, not live source positions.
@@ -85,6 +88,7 @@ _MAIN_SITES = {
 # profiling levels that turn the event recorder on
 EVENT_LEVELS = frozenset({"function", "line", "thread", "sample"})
 _JOB_DRAIN_GRACE_S = 2.0
+_REQUIRED = object()  # from_env default marker: the variable must be set
 
 
 class SocketClosed(Exception):
@@ -126,6 +130,8 @@ class EntityConfig:
     # False when the entity shares a process (thread mode): coarse times
     # are then accounted per thread, not per process
     own_process: bool = True
+    # the run's calibration; None makes the entity's recorder measure its own
+    calibration: Optional[ClockCalibration] = None
 
     def to_env(self) -> Dict[str, str]:
         env = {
@@ -156,36 +162,63 @@ class EntityConfig:
             env[ENV_LOCAL_CONTROLLER_PORT] = str(self.lc_addr[1])
         if self.dump_dir:
             env[ENV_DUMP_DIR] = self.dump_dir
+        if self.calibration is not None:
+            c = self.calibration
+            env[ENV_CLOCK_CALIBRATION] = (
+                f"{c.wall_cost_ns},{c.cpu_cost_ns},{c.cpu_refresh_wall_ns},{c.pair_overhead_ns}"
+            )
         return env
 
     @classmethod
     def from_env(cls, env: Dict[str, str]) -> "EntityConfig":
+        """Parse spawn variables; a missing or malformed one raises a
+        ``ValueError`` that names it."""
+
+        def get(key: str, parse: Callable[[str], Any] = str, default: Any = _REQUIRED) -> Any:
+            raw = env.get(key)
+            if raw is None:
+                if default is _REQUIRED:
+                    raise ValueError(f"{key} is not set")
+                return default
+            try:
+                return parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{key}={raw!r}: {exc}") from None
+
         def addr(host_key: str, port_key: str) -> Optional[Addr]:
             if host_key in env and port_key in env:
-                return (env[host_key], int(env[port_key]))
+                return (env[host_key], get(port_key, int))
             return None
 
         return cls(
-            name=env[ENV_HOST_NAME],
-            role=NodeRole(env[ENV_NODE_ROLE]),
-            zone=int(env.get(ENV_NODE_ZONE, 1)),
-            site=int(env.get(ENV_NODE_SITE, 1)),
-            index=int(env.get(ENV_NODE_INDEX, 1)),
+            name=get(ENV_HOST_NAME),
+            role=get(ENV_NODE_ROLE, NodeRole),
+            zone=get(ENV_NODE_ZONE, int, 1),
+            site=get(ENV_NODE_SITE, int, 1),
+            index=get(ENV_NODE_INDEX, int, 1),
             manager_addr=addr(ENV_MANAGER_ADDR, ENV_MANAGER_PORT),
             ns_addr=addr(ENV_NAME_SERVER_ADDR, ENV_NAME_SERVER_UPDATE_PORT),
             lc_addr=addr(ENV_LOCAL_CONTROLLER_ADDR, ENV_LOCAL_CONTROLLER_PORT),
-            poll_timeout_ms=float(env.get(ENV_POLL_TIMEOUT_MS, 1.0)),
-            heartbeat_interval_s=float(env.get(ENV_HEARTBEAT_INTERVAL_S, 1.0)),
-            heartbeat_miss_limit=int(env.get(ENV_HEARTBEAT_MISS_LIMIT, 3)),
-            workflow_load_high=float(env.get(ENV_WORKFLOW_LOAD_HIGH, 100.0)),
-            workflow_load_low=float(env.get(ENV_WORKFLOW_LOAD_LOW, 10.0)),
-            run_id=env.get(ENV_RUN_ID, "-"),
-            scenario_id=env.get(ENV_SCENARIO_ID, "-"),
-            dump_dir=env.get(ENV_DUMP_DIR),
-            levels=tuple(x for x in env.get(ENV_PROFILE_LEVELS, "").split(",") if x),
-            seed=int(env.get(ENV_RNG_SEED, 0)),
-            scale_factor=float(env.get(ENV_SCALE_FACTOR, 1.0)),
+            poll_timeout_ms=get(ENV_POLL_TIMEOUT_MS, float, 1.0),
+            heartbeat_interval_s=get(ENV_HEARTBEAT_INTERVAL_S, float, 1.0),
+            heartbeat_miss_limit=get(ENV_HEARTBEAT_MISS_LIMIT, int, 3),
+            workflow_load_high=get(ENV_WORKFLOW_LOAD_HIGH, float, 100.0),
+            workflow_load_low=get(ENV_WORKFLOW_LOAD_LOW, float, 10.0),
+            run_id=get(ENV_RUN_ID, str, "-"),
+            scenario_id=get(ENV_SCENARIO_ID, str, "-"),
+            dump_dir=get(ENV_DUMP_DIR, str, None),
+            levels=tuple(x for x in get(ENV_PROFILE_LEVELS, str, "").split(",") if x),
+            seed=get(ENV_RNG_SEED, int, 0),
+            scale_factor=get(ENV_SCALE_FACTOR, float, 1.0),
+            calibration=get(ENV_CLOCK_CALIBRATION, _parse_calibration, None),
         )
+
+
+def _parse_calibration(raw: str) -> ClockCalibration:
+    values = [int(v) for v in raw.split(",")]
+    if len(values) != 4 or min(values) < 0:
+        raise ValueError("expected four non-negative integers")
+    return ClockCalibration(*values)
 
 
 class Connection:
@@ -209,10 +242,10 @@ class Entity:
     def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
         self.cfg = cfg
         self.name = cfg.name
-        if recorder is None:
-            enabled = bool(EVENT_LEVELS & set(cfg.levels))
-            recorder = Recorder(enabled=enabled)
-        self.rec = recorder
+        # only the orchestrator's manager passes a recorder: it shares the CLI's
+        self.rec = recorder if recorder is not None else Recorder(
+            enabled=bool(EVENT_LEVELS & set(cfg.levels)), calibration=cfg.calibration
+        )
         self._timer: Optional[ProcessTimer] = None  # created on the loop thread
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -570,8 +603,8 @@ class GlobalControllerEntity(Entity):
 class NameServerEntity(Entity):
     role = NodeRole.NAME_SERVER
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(self, cfg: EntityConfig) -> None:
+        super().__init__(cfg)
         self.registry: Dict[str, Optional[Addr]] = {}
 
     def handle(self, conn: Connection, msg: Message) -> None:
@@ -597,8 +630,8 @@ class NameServerEntity(Entity):
 class LocalControllerEntity(Entity):
     role = NodeRole.LOCAL_CONTROLLER
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(self, cfg: EntityConfig) -> None:
+        super().__init__(cfg)
         self.hosts_seen: set[str] = set()
 
     def on_started(self) -> None:
@@ -617,8 +650,8 @@ class LocalControllerEntity(Entity):
 class WorkflowManagerEntity(Entity):
     role = NodeRole.WORKFLOW_MANAGER
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(self, cfg: EntityConfig) -> None:
+        super().__init__(cfg)
         self.state = WorkflowManagerState(
             zone=cfg.zone, load_high=cfg.workflow_load_high, load_low=cfg.workflow_load_low
         )
@@ -710,8 +743,8 @@ class WorkflowManagerEntity(Entity):
 class HostEntity(Entity):
     role = NodeRole.HOST_NODE
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(self, cfg: EntityConfig) -> None:
+        super().__init__(cfg)
         self.instances: Dict[str, WorkflowState] = {}
         self.served: Counter = Counter()
         self._instance_names: Dict[str, str] = {}
@@ -808,8 +841,8 @@ class _LoadJob:
 class ClientEntity(Entity):
     role = NodeRole.CLIENT_HOST
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(self, cfg: EntityConfig) -> None:
+        super().__init__(cfg)
         self._job: Optional[_LoadJob] = None
 
     def handle(self, conn: Connection, msg: Message) -> None:
@@ -939,21 +972,20 @@ ENTITY_CLASSES = {
 }
 
 
-def build_entity(cfg: EntityConfig, recorder: Optional[Recorder] = None) -> Entity:
+def build_entity(cfg: EntityConfig) -> Entity:
     try:
         cls = ENTITY_CLASSES[cfg.role]
     except KeyError:
         raise ValueError(f"no entity class for role {cfg.role}") from None
-    return cls(cfg, recorder)
+    return cls(cfg)
 
 
 def main() -> int:
     """Process-mode entry point: configuration comes from the environment."""
-    cfg = EntityConfig.from_env(dict(os.environ))
-    entity = build_entity(cfg)
+    name = os.environ.get(ENV_HOST_NAME, "entity")
     try:
-        entity.run()
+        build_entity(EntityConfig.from_env(dict(os.environ))).run()
     except Exception as exc:  # noqa: BLE001 - report and die visibly
-        print(f"{cfg.name}: fatal: {exc}", file=sys.stderr)
+        print(f"{name}: fatal: {exc}", file=sys.stderr)
         return 1
     return 0

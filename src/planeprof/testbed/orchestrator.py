@@ -34,7 +34,6 @@ from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakd
 from planeprof.instrument.recorder import Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.entity import (
-    EVENT_LEVELS,
     Addr,
     Connection,
     Entity,
@@ -574,6 +573,7 @@ def _entity_config(
         seed=cfg.seed,
         scale_factor=cfg.scale_factor,
         register_deadline_s=cfg.bootstrap_deadline_s,
+        calibration=topo.rec.calibration,
     )
 
 
@@ -609,9 +609,7 @@ def _spawn(topo: RunningTopology, ecfg: EntityConfig) -> EntityHandle:
                 if stderr_file is not subprocess.DEVNULL:
                     stderr_file.close()
         else:
-            shared_cal = topo.rec.calibration
-            enabled = bool(EVENT_LEVELS & set(ecfg.levels))
-            entity = build_entity(ecfg, Recorder(enabled=enabled, calibration=shared_cal))
+            entity = build_entity(ecfg)
             handle.entity = entity
             handle.thread = threading.Thread(
                 target=entity.run, name=f"entity-{ecfg.name}", daemon=True

@@ -27,6 +27,7 @@ from planeprof.model.aggregate import (
 )
 from planeprof.reporting.exports import import_function_csv
 from planeprof.testbed.config import ScenarioConfig, write_scenario
+from planeprof.testbed.entity import EntityConfig
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,31 @@ class TestRun:
         finally:
             blocker.close()
         assert code == EXIT_RUNTIME
+
+    def test_bad_spawn_variable_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        to_env = EntityConfig.to_env
+
+        def bad_env(cfg):
+            return {**to_env(cfg), "CLOCK_CALIBRATION": "1,2,x,4"}
+
+        monkeypatch.setattr(EntityConfig, "to_env", bad_env)
+        cfg = ScenarioConfig(
+            scenario_id="badenv",
+            hosts_per_site=0,
+            workflows_per_zone=0,
+            client_users=0,
+            run_duration_s=0.0,
+            post_start_sleep_s={},
+            entity_mode="process",
+        )
+        path = tmp_path / "badenv.scenario"
+        write_scenario(cfg, path)
+        out = tmp_path / "r"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        assert "global_controller" in capsys.readouterr().err
+        log = (out / "logs" / "gc.stderr").read_text().splitlines()
+        assert log == ["gc: fatal: CLOCK_CALIBRATION='1,2,x,4': invalid literal for int() "
+                       "with base 10: 'x'"]
 
     def test_index_and_summary_match_full_parses(self, run_dir, monkeypatch):
         rows = ["# dump\tentity\trole\trun_id\tevents\tviolations"]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import stream
 from planeprof.analysis.hotspots import compare, find_hotspots
 from planeprof.instrument.dumpio import DumpMeta, write_dump
 from planeprof.instrument.events import CodeSite, SiteKind
@@ -280,3 +281,33 @@ class TestSummaryAndIndex:
 
     def test_summary_deterministic(self, synthetic_run):
         assert render_summary(synthetic_run) == render_summary(synthetic_run)
+
+    def test_summary_reports_calibration_and_self_cost(self, synthetic_run):
+        dumps = synthetic_run / "dumps"
+        events = stream(("enter", "main", 0), ("exit", "main", 10),
+                        ("enter", "main", 20), ("exit", "main", 30))
+        write_dump(
+            dumps / "orchestrator.dump",
+            DumpMeta(run_id="run-x", entity="orchestrator", role="global_manager"),
+            ClockCalibration(90, 8000, 1_000_000, 1500),
+            events,
+            coarse=CoarseBreakdown(0.00001, 0.0, 0.0),
+        )
+        write_dump(
+            dumps / "hand.dump",
+            DumpMeta(run_id="run-x", entity="hand", role="host_node"),
+            ClockCalibration(90, 400, 0, 1200),
+            [],
+        )
+        lines = render_summary(synthetic_run).splitlines()
+        # two pairs at 1500 ns against 10 us elapsed
+        assert [l for l in lines if l.startswith("  orchestrator")][0].endswith(
+            "self_cost=30.00%"
+        )
+        assert [l for l in lines if l.startswith("  gc")][0].endswith("self_cost=0.00%")
+        assert lines[-2:] == [
+            "calibration: wall_cost_ns=90 cpu_cost_ns=8000 cpu_refresh_wall_ns=1000000 "
+            "pair_overhead_ns=1500",
+            "  hand.dump differs: wall_cost_ns=90 cpu_cost_ns=400 cpu_refresh_wall_ns=0 "
+            "pair_overhead_ns=1200",
+        ]

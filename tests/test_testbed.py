@@ -7,6 +7,8 @@ exercises process mode with real child processes, dumps and rusage.
 from __future__ import annotations
 
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,10 +16,11 @@ import pytest
 from conftest import fast_scenario
 from planeprof.instrument.dumpio import read_dump
 from planeprof.instrument.events import TAG_SLEEP
+from planeprof.instrument.recorder import ClockCalibration
 from planeprof.model.aggregate import aggregate_functions, profile_from_dump
 from planeprof.model.merge import merge_profiles
 from planeprof.testbed.config import NodeRole
-from planeprof.testbed.entity import Entity, EntityConfig, SITE_POLL
+from planeprof.testbed.entity import Entity, EntityConfig, SITE_POLL, build_entity
 from planeprof.testbed.orchestrator import (
     BootstrapPhase,
     BootstrapTimeout,
@@ -215,13 +218,54 @@ class TestRegistration:
             levels=("coarse", "function"),
             seed=13,
             scale_factor=0.01,
+            calibration=ClockCalibration(90, 8000, 1_000_000, 1500),
         )
         env = cfg.to_env()
         assert env["HOST_NAME"] == "host-z1s2h3"
         assert env["NAME_SERVER_ADDR"] == "127.0.0.1"
         assert env["NAME_SERVER_UPDATE_PORT"] == "5002"
+        assert env["CLOCK_CALIBRATION"] == "90,8000,1000000,1500"
         back = EntityConfig.from_env(env)
         assert back == cfg
+
+    @pytest.mark.parametrize("raw", ["1,2,3", "1,2,3,x", "1,2,3,-4", ""])
+    def test_malformed_calibration_names_the_variable(self, raw):
+        env = EntityConfig(name="h", role=NodeRole.HOST_NODE).to_env()
+        env["CLOCK_CALIBRATION"] = raw
+        with pytest.raises(ValueError, match="CLOCK_CALIBRATION"):
+            EntityConfig.from_env(env)
+
+
+class TestSharedCalibration:
+    @pytest.mark.parametrize("levels", [("coarse", "function"), ("coarse",)])
+    def test_entity_with_calibration_never_calibrates(self, monkeypatch, levels):
+        import planeprof.instrument.recorder as recorder_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate_clocks called")
+
+        monkeypatch.setattr(recorder_mod, "calibrate_clocks", refuse)
+        cal = ClockCalibration(90, 8000, 1_000_000, 1500)
+        cfg = EntityConfig(name="h", role=NodeRole.HOST_NODE, levels=levels, calibration=cal)
+        entity = build_entity(cfg)
+        try:
+            assert entity.rec.calibration == cal
+            assert entity.rec.enabled is ("function" in levels)
+        finally:
+            entity._close_all()
+
+    def test_entity_import_leaves_orchestrator_and_sampler_out(self):
+        probe = (
+            "import sys, planeprof.testbed.entity; "
+            "print(sorted(m for m in sys.modules if m.startswith('planeprof')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        loaded = done.stdout.strip()
+        assert "planeprof.testbed.entity" in loaded
+        assert "planeprof.testbed.orchestrator" not in loaded
+        assert "planeprof.instrument.sampler" not in loaded
 
 
 class TestLiveness:
@@ -371,6 +415,9 @@ class TestProcessMode:
         # killed-entity semantics do not apply here: clean shutdown wrote
         # a coarse footer into every dump
         assert all(d.coarse is not None for d in dumps)
+        # one calibration per run: every entity carries the orchestrator's
+        run_cal = [d.calibration for d in dumps if d.meta.entity == "orchestrator"][0]
+        assert all(d.calibration == run_cal for d in dumps)
         logs = sorted((tmp_path / "logs").glob("*.stderr"))
         assert len(logs) == len(t.dump_paths) - 1
         assert not [p.name for p in logs if "RuntimeWarning" in p.read_text()]
