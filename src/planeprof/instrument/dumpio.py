@@ -2,7 +2,7 @@
 
 Layout (tab-separated records, one per line, stable field order):
 
-    profile-dump 3
+    profile-dump 4
     run_id <id>
     entity <name>
     role <role>
@@ -17,8 +17,8 @@ Layout (tab-separated records, one per line, stable field order):
     pair_overhead_ns <int>      # calibrated enter/exit pair cost
     end_header
     T\t<thread>                 # opens the block of that thread's E/X records
-    site\t<n>\t<file>\t<line>\t<symbol>\t<site kind>   # defines site n
-    E\t<wall_ns>\t<cpu_ns>\t<site n>\t<tag or ->
+    site\t<n>\t<file>\t<line>\t<symbol>\t<site kind>\t<tag or ->   # defines n
+    E\t<wall delta>\t<cpu delta>\t<n>
     X\t... (same fields)
     S\t<thread>\t<wall_ns>\t<cpu_ns>\t<frame>|<frame>|...   frame = file:line:symbol
     V\t<thread>\t<wall_ns>\t<file>\t<line>\t<symbol>\t<site kind>\t<detail>
@@ -27,14 +27,19 @@ Layout (tab-separated records, one per line, stable field order):
     coarse\t<elapsed_s>\t<user_s>\t<system_s>
     end_dump
 
-An ``E`` or ``X`` record belongs to the thread of the last ``T`` line and
-names its site by number. Sites are numbered from 0 in each dump, and
-each is defined by one ``site`` line before its first use. ``S`` and
-``V`` records name their own thread and sites and leave the open block
-as it is. Thread blocks may interleave, and a thread may open several.
-``T`` and ``site`` lines are not counted in the footer. Versions 1 and 2
-(no counts footer; a thread id and a site text on every event line) are
-rejected by name: re-run the scenario to get version-3 dumps.
+An ``E`` or ``X`` record belongs to the thread of the last ``T`` line.
+Its number names a (site, tag) pair: numbers count from 0 in each dump,
+and each is defined by one ``site`` line before its first use, so one
+site entered with two tags, or entered with a tag and exited without
+one, has two numbers. Its wall and CPU clocks are differences from the
+previous ``E`` or ``X`` record of the same thread, kept across that
+thread's blocks; a thread's first record carries the absolute clocks. A
+delta may be negative, and is read as it is: a backwards clock is the
+consumer's to report. ``S`` and ``V`` records name their own thread,
+sites and absolute clocks, and leave the open block and the deltas as
+they are. Thread blocks may interleave, and a thread may open several.
+``T`` and ``site`` lines are not counted in the footer. Versions 1 to 3
+are rejected by name: re-run the scenario to get version-4 dumps.
 
 All times are integer nanoseconds except the coarse footer, which keeps
 the float seconds the OS reported. The coarse line is optional. The
@@ -42,7 +47,8 @@ footer lines have bounded length, so :func:`read_dump_info` reads the
 header and the last few kilobytes and never the event lines.
 :func:`_format_records` is the one formatter of the event lines and
 :class:`DumpStream` their one parser: it yields them as record tuples
-while it reads, and :func:`read_dump` materializes them.
+with absolute clocks while it reads, and :func:`read_dump` materializes
+them.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from planeprof.instrument.events import (
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import ClockCalibration
 
-FORMAT_LINE = "profile-dump 3"
+FORMAT_LINE = "profile-dump 4"
 
 _KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
@@ -137,23 +143,26 @@ def _format_records(records: Records, lines: List[str]) -> int:
 
     This is the only place event lines are formatted. An enter or exit
     opens its thread's block with a ``T`` line unless that block is the
-    open one, and a site gets its ``site`` line before its first use.
-    Sites with equal text share one number, and the lines depend only on
-    the order of the records, so a dump read back and written again is
-    byte-identical. A sample without a stack is skipped: the recorder
-    never keeps one and a reader could not rebuild it.
+    open one, carries its clocks as deltas from its thread's previous
+    enter or exit, and gets a ``site`` line for its (site, tag) pair
+    before the pair's first use. Pairs with equal text share one number,
+    and the lines depend only on the order of the records, so a dump read
+    back and written again is byte-identical. A sample without a stack is
+    skipped: the recorder never keeps one and a reader could not rebuild
+    it.
     """
     # Keyed by id(): every site stays referenced by a record for the whole
     # call, so no id is reused, and id() is far cheaper than hashing a
     # dataclass. Sampled frames are fresh objects each time, so they are
     # not cached.
-    numbers: Dict[int, str] = {}  # id(site) -> site number
-    by_text: Dict[str, str] = {}  # site text -> site number
-    tags: Dict[Optional[str], str] = {None: "-"}
+    numbers: Dict[Tuple[int, Optional[str]], str] = {}  # (id(site), tag) -> number
+    by_text: Dict[str, str] = {}  # site and tag text -> number
+    clocks: Dict[int, Tuple[int, int]] = {}  # thread -> last (wall, cpu), block closed
     append = lines.append
     start = len(lines)
     blocks = 0
     block = None
+    wall = cpu = 0  # the open block's last clocks
     for thread, recs in records:
         for rec in recs:
             code = rec[0]
@@ -164,25 +173,27 @@ def _format_records(records: Records, lines: List[str]) -> int:
                     append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
                 continue
             if thread != block:
+                clocks[block] = (wall, cpu)
                 block = thread
+                wall, cpu = clocks.get(thread, (0, 0))
                 blocks += 1
                 append(f"T\t{thread}")
             site = rec[1]
-            number = numbers.get(id(site))
+            tag = rec[4]
+            number = numbers.get((id(site), tag))
             if number is None:
                 text = (
                     f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
-                    f"\t{_KIND_CODE[site.kind]}"
+                    f"\t{_KIND_CODE[site.kind]}\t{_clean(tag) if tag else '-'}"
                 )
                 number = by_text.get(text)
                 if number is None:
                     number = by_text[text] = str(len(by_text))
                     append(f"site\t{number}\t{text}")
-                numbers[id(site)] = number
-            tag = tags.get(rec[4])
-            if tag is None:
-                tag = tags[rec[4]] = _clean(rec[4]) or "-"
-            append(f"{code}\t{rec[2]}\t{rec[3]}\t{number}\t{tag}")
+                numbers[id(site), tag] = number
+            append(f"{code}\t{rec[2] - wall}\t{rec[3] - cpu}\t{number}")
+            wall = rec[2]
+            cpu = rec[3]
     return len(lines) - start - blocks - len(by_text)
 
 
@@ -329,10 +340,11 @@ class DumpStream:
     :meth:`records` yields one ``(code, site, wall_ns, cpu_ns, tag, thread,
     stack)`` tuple per ``E``, ``X`` or ``S`` line, the layout of
     :meth:`Recorder.records`: ``thread`` is the open block's thread, or a
-    sample's subject thread, and ``stack`` is ``None`` except on samples,
-    whose ``site`` is the leaf frame. Each ``site`` line and each distinct
-    frame text becomes one :class:`CodeSite`, and equal sites are one
-    object, so consumers may compare sites with ``is``. Every line is
+    sample's subject thread, ``wall_ns`` and ``cpu_ns`` are absolute, and
+    ``stack`` is ``None`` except on samples, whose ``site`` is the leaf
+    frame. Each ``site`` line and each distinct frame text becomes one
+    :class:`CodeSite`, and equal sites are one object, so consumers may
+    compare sites with ``is``. Every line is
     validated; ``V`` records are collected in :attr:`violations`. The
     counts footer is checked against the body before the generator
     finishes, so a consumer has used no result of a dump that fails it.
@@ -361,64 +373,75 @@ class DumpStream:
         self._file.close()
 
     def records(self) -> Iterator[tuple]:
-        sites: Dict[str, CodeSite] = {}  # site number -> interned site
-        # the last two fields of an E/X line, newline included -> (site, tag)
-        refs: Dict[str, Tuple[CodeSite, Optional[str]]] = {}
+        # a site line's number, newline included as E/X lines end with it
+        # -> its interned site and tag
+        sites: Dict[str, Tuple[CodeSite, Optional[str]]] = {}
         frames: Dict[str, CodeSite] = {}  # sample frame text -> interned site
         by_value: Dict[CodeSite, CodeSite] = {}
+        clocks: Dict[int, Tuple[int, int]] = {}  # thread -> last (wall, cpu), block closed
         thread: Optional[int] = None  # the open block's
+        wall = cpu = 0  # the open block's last clocks
         uncounted = 0  # T and site lines
         first = self.line + 1
         code = ""
         try:
             for self.line, text in enumerate(self._file, first):
-                fields = text.split("\t", 3)
+                fields = text.split("\t")
                 code = fields[0]
                 if code == "E" or code == "X":
-                    _, wall, cpu, ref = fields
-                    site_tag = refs.get(ref)
+                    _, wall_delta, cpu_delta, number = fields
+                    site_tag = sites.get(number)
                     if site_tag is None:
-                        number, tag = ref.rstrip("\n").split("\t")
-                        if number not in sites:
+                        number = number.rstrip("\n")  # a last line may lack its newline
+                        site_tag = sites.get(number + "\n")
+                        if site_tag is None:
                             raise DumpFormatError(
                                 f"line {self.line}: unknown site number {number!r}"
                             )
-                        site_tag = refs[ref] = (sites[number], None if tag == "-" else tag)
                     if thread is None:
                         raise DumpFormatError(f"line {self.line}: {code!r} before any T line")
-                    yield code, site_tag[0], int(wall), int(cpu), site_tag[1], thread, None
+                    wall += int(wall_delta)
+                    cpu += int(cpu_delta)
+                    yield code, site_tag[0], wall, cpu, site_tag[1], thread, None
                 elif code == "T":
                     _, thread_text = fields
+                    clocks[thread] = (wall, cpu)
                     thread = int(thread_text)
+                    wall, cpu = clocks.get(thread, (0, 0))
                     uncounted += 1
                 elif code == "site":
-                    _, number, site_text = text.rstrip("\n").split("\t", 2)
+                    _, number, file, lineno, symbol, kind, tag = fields
+                    number += "\n"
                     if number in sites:
-                        raise DumpFormatError(f"line {self.line}: site {number!r} defined twice")
+                        raise DumpFormatError(
+                            f"line {self.line}: site {number[:-1]!r} defined twice"
+                        )
                     int(number)  # numbers are integers, kept as their text
-                    site = _parse_site(site_text)
-                    sites[number] = by_value.setdefault(site, site)
+                    site = CodeSite(file, int(lineno), symbol, _CODE_KIND[kind])
+                    tag = tag.rstrip("\n")
+                    sites[number] = (by_value.setdefault(site, site), None if tag == "-" else tag)
                     uncounted += 1
                 elif code == "S":
-                    _, thread_text, wall, cpu, stack_text = text.rstrip("\n").split("\t")
+                    _, thread_text, sample_wall, sample_cpu, stack_text = fields
                     stack = []
-                    for frame in stack_text.split("|"):
+                    for frame in stack_text.rstrip("\n").split("|"):
                         site = frames.get(frame)
                         if site is None:
                             site = _parse_frame(frame)
                             site = frames[frame] = by_value.setdefault(site, site)
                         stack.append(site)
-                    yield "S", stack[-1], int(wall), int(cpu), None, int(thread_text), tuple(stack)
-                elif code == "V":
-                    _, thread_text, wall, file, lineno, symbol, kind, detail = (
-                        text.rstrip("\n").split("\t")
+                    yield (
+                        "S", stack[-1], int(sample_wall), int(sample_cpu), None,
+                        int(thread_text), tuple(stack),
                     )
+                elif code == "V":
+                    _, thread_text, violation_wall, file, lineno, symbol, kind, detail = fields
                     self.violations.append(
                         NestingViolation(
                             thread_id=int(thread_text),
-                            wall_ns=int(wall),
+                            wall_ns=int(violation_wall),
                             site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
-                            detail=detail,
+                            detail=detail.rstrip("\n"),
                         )
                     )
                 else:
@@ -446,11 +469,6 @@ class DumpStream:
 
     def _error(self, message: str) -> DumpFormatError:
         return DumpFormatError(f"{self.path}: {message}")
-
-
-def _parse_site(text: str) -> CodeSite:
-    file, line, symbol, kind = text.split("\t")
-    return CodeSite(file, int(line), symbol, _CODE_KIND[kind])
 
 
 def _event_of(rec: tuple) -> ProfileEvent:

@@ -171,7 +171,8 @@ class Recorder:
         if log is None:
             log = self._log()
         stack = log.stack
-        if not stack or stack[-1] != site:
+        # ``is`` first: ``!=`` on a frozen dataclass builds two tuples
+        if not stack or (stack[-1] is not site and stack[-1] != site):
             with self._violations_lock:
                 self._violations.append(
                     NestingViolation(

@@ -279,37 +279,40 @@ class TestBracketedSpan:
 # 2 closes ``work`` before ``poll`` and tags ``poll`` "x"; thread 9 closes
 # ``poll`` first and tags it "poll". Merging in ascending thread id gives
 # the rows in the order work, poll, main and the tag "x".
-_HEADER = """profile-dump 3
+_HEADER = """profile-dump 4
 run_id r
 entity e
 end_header
 """
-# two threads whose blocks interleave 9/2/9/2/9, higher id first
+# two threads whose blocks interleave 9/2/9/2/9, higher id first; clocks
+# are deltas from the thread's own previous enter or exit
 _INTERLEAVED = """\
 T\t9
-site\t0\ta.py\t1\tmain\tF
-E\t100\t1\t0\t-
-site\t1\ta.py\t5\tpoll\tR
-E\t110\t2\t1\tpoll
-X\t150\t3\t1\t-
+site\t0\ta.py\t1\tmain\tF\t-
+E\t100\t1\t0
+site\t1\ta.py\t5\tpoll\tR\tpoll
+E\t10\t1\t1
+site\t2\ta.py\t5\tpoll\tR\t-
+X\t40\t1\t2
 T\t2
-E\t105\t1\t0\t-
-site\t2\ta.py\t9\twork\tF
-E\t120\t1\t2\t-
-E\t125\t1\t2\t-
-X\t130\t1\t2\t-
+E\t105\t1\t0
+site\t3\ta.py\t9\twork\tF\t-
+E\t15\t0\t3
+E\t5\t0\t3
+X\t5\t0\t3
 T\t9
-E\t160\t4\t1\tpoll
-X\t170\t5\t1\t-
+E\t10\t1\t1
+X\t10\t1\t2
 T\t2
-X\t140\t1\t2\t-
-E\t142\t1\t1\tx
-X\t144\t1\t1\t-
-X\t200\t1\t0\t-
+X\t10\t0\t3
+site\t4\ta.py\t5\tpoll\tR\tx
+E\t2\t0\t4
+X\t2\t0\t2
+X\t56\t0\t0
 T\t9
-X\t300\t6\t0\t-
-site\t3\ta.py\t7\tlonely\tF
-E\t301\t7\t3\t-
+X\t130\t1\t0
+site\t5\ta.py\t7\tlonely\tF\t-
+E\t1\t1\t5
 end_events
 counts\t15\t0
 end_dump
@@ -369,10 +372,11 @@ class TestStreamedWalk:
 
     def test_backwards_clock_names_file_and_line(self, tmp_path):
         path = tmp_path / "regressed.dump"
-        path.write_text(_HEADER + _INTERLEAVED.replace("X\t170\t", "X\t1\t"))
+        # thread 9's exit at 170 goes back to 1, a delta of 1 - 160
+        path.write_text(_HEADER + _INTERLEAVED.replace("\nX\t10\t1\t2\n", "\nX\t-159\t1\t2\n"))
         with DumpStream(path) as stream:
             with pytest.raises(DumpFormatError) as info:
                 walk_stream(stream)
         assert str(info.value) == (
-            f"{path}: line 19: wall clock regressed on thread 9: 1 < 160"
+            f"{path}: line 20: wall clock regressed on thread 9: 1 < 160"
         )

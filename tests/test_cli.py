@@ -273,7 +273,7 @@ class TestAnalyze:
         victim = max(torn.glob("*.dump"), key=lambda p: p.stat().st_size)
         data = victim.read_bytes()
         middle = data.index(b"\nE\t", len(data) // 2)
-        victim.write_bytes(data[: middle + 4])  # "\nE\t" and one digit of the wall clock
+        victim.write_bytes(data[: middle + 4])  # "\nE\t" and the first byte of the wall delta
         code = main(["analyze", "--dumps", str(torn), "--out", str(tmp_path / "f.json")])
         assert code == EXIT_CONFIG
         line = data.count(b"\n", 0, middle) + 2
@@ -286,14 +286,14 @@ class TestAnalyze:
         copy = shutil.copytree(run_dir / "dumps", tmp_path / "regressed")
         victim = copy / "gc.dump"
         lines = victim.read_text().split("\n")
-        # an enter right after an enter or exit is in the same thread block,
-        # so its clock goes back
+        # an enter right after an enter or exit is not its thread's first
+        # record, so a negative wall delta takes its clock back
         at = [
             i for i, line in enumerate(lines)
             if line.startswith("E\t") and lines[i - 1][:2] in ("E\t", "X\t")
         ][-1]
         fields = lines[at].split("\t")
-        fields[1] = "1"
+        fields[1] = "-1"
         lines[at] = "\t".join(fields)
         victim.write_text("\n".join(lines))
         code = main(["analyze", "--dumps", str(copy), "--out", str(tmp_path / "f.json")])
@@ -375,7 +375,7 @@ class TestStreaming:
 
 
 class TestDumpSize:
-    def test_quick_run_stays_under_45_bytes_per_event(self, tmp_path):
+    def test_quick_run_stays_under_24_bytes_per_event(self, tmp_path):
         scenario = Path(__file__).parents[1] / "scenarios" / "quick.scenario"
         out = tmp_path / "quick"
         assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
@@ -384,7 +384,7 @@ class TestDumpSize:
         rows = (dumps / "index.txt").read_text().splitlines()[1:]
         events = sum(int(row.split("\t")[4]) for row in rows)
         assert events > 1000
-        assert size / events < 45
+        assert size / events < 24
 
 
 class TestReport:

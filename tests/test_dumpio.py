@@ -84,7 +84,7 @@ class TestRoundTrip:
     def test_header_layout(self, tmp_path):
         path = write_dump(tmp_path / "x.dump", META, CAL, [])
         lines = path.read_text().splitlines()
-        assert lines[0] == "profile-dump 3"
+        assert lines[0] == "profile-dump 4"
         keys = [l.split(" ", 1)[0] for l in lines[1:13]]
         assert keys == [
             "run_id", "entity", "role", "pid", "scenario", "seed", "levels",
@@ -104,24 +104,86 @@ class TestRoundTrip:
         ]
         path = write_dump(tmp_path / "x.dump", META, CAL, events)
         lines = path.read_text().splitlines()
-        # a block opens only for enters and exits, a site is defined once
-        # before its first use, and equal sites share a number
+        # a block opens only for enters and exits, a (site, tag) pair is
+        # defined once before its first use, equal pairs share a number, and
+        # clocks are deltas from the thread's last enter or exit, which a
+        # sample does not move
         assert lines[14:-3] == [
             "T\t1",
-            "site\t0\tx.py\t971\tpoll_wait\tR",
-            "E\t1000\t10\t0\tpoll",
-            "X\t2500\t12\t0\t-",
+            "site\t0\tx.py\t971\tpoll_wait\tR\tpoll",
+            "E\t1000\t10\t0",
+            "site\t1\tx.py\t971\tpoll_wait\tR\t-",
+            "X\t1500\t2\t1",
             "S\t2\t3000\t15\tx.py:421:main|x.py:442:spin",
             "T\t3",
-            "site\t1\tx.py\t421\tmain\tF",
-            "E\t3100\t1\t1\t-",
-            "E\t3200\t2\t0\t-",
+            "site\t2\tx.py\t421\tmain\tF\t-",
+            "E\t3100\t1\t2",
+            "E\t100\t1\t1",
             "T\t1",
-            "E\t3300\t16\t0\tpoll",
+            "E\t800\t4\t0",
         ]
         assert lines[-3:] == ["end_events", "counts\t6\t0", "end_dump"]
         again = write_dump(tmp_path / "again.dump", META, CAL, read_dump(path).events)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_deltas_are_kept_per_thread_across_blocks(self, tmp_path):
+        f = site("work")
+        path = tmp_path / "x.dump"
+        write_records(path, META, CAL, [
+            (7, [("E", f, 1_000_000, 500, None)]),
+            (3, [("E", f, 2_000_000, 900, None)]),
+            (7, [("X", f, 1_000_250, 530, None)]),
+            (3, [("X", f, 2_000_040, 901, None)]),
+        ])
+        assert path.read_text().splitlines()[14:-3] == [
+            "T\t7",
+            "site\t0\tx.py\t451\twork\tF\t-",
+            "E\t1000000\t500\t0",
+            "T\t3",
+            "E\t2000000\t900\t0",
+            "T\t7",
+            "X\t250\t30\t0",
+            "T\t3",
+            "X\t40\t1\t0",
+        ]
+        with DumpStream(path) as stream:
+            assert [(r[0], r[2], r[3], r[5]) for r in stream.records()] == [
+                ("E", 1_000_000, 500, 7),
+                ("E", 2_000_000, 900, 3),
+                ("X", 1_000_250, 530, 7),
+                ("X", 2_000_040, 901, 3),
+            ]
+
+    def test_negative_delta_round_trips(self, tmp_path):
+        f = site("work")
+        events = [
+            ProfileEvent(1, f, EventKind.ENTER, 5000, 70),
+            ProfileEvent(1, f, EventKind.EXIT, 4000, 60),
+        ]
+        path = write_dump(tmp_path / "x.dump", META, CAL, events)
+        assert path.read_text().splitlines()[16:-3] == ["E\t5000\t70\t0", "X\t-1000\t-10\t0"]
+        assert read_dump(path).events == events
+        again = write_dump(tmp_path / "again.dump", META, CAL, read_dump(path).events)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_one_site_with_two_tags_gets_two_numbers(self, tmp_path, recorder):
+        where = site("poll_wait", SiteKind.REGION)
+        for tag in ("a", "b", "a"):
+            with recorder.region(where, tag=tag):
+                pass
+        path = write_records(tmp_path / "x.dump", META, CAL, recorder.records())
+        lines = path.read_text().splitlines()
+        assert [l for l in lines if l.startswith("site\t")] == [
+            "site\t0\tx.py\t971\tpoll_wait\tR\ta",
+            "site\t1\tx.py\t971\tpoll_wait\tR\t-",
+            "site\t2\tx.py\t971\tpoll_wait\tR\tb",
+        ]
+        numbers = [l.rsplit("\t", 1)[1] for l in lines if l[:2] in ("E\t", "X\t")]
+        assert numbers == ["0", "1", "2", "1", "0", "1"]
+        with DumpStream(path) as stream:
+            records = list(stream.records())
+        assert [r[4] for r in records] == ["a", None, "b", None, "a", None]
+        assert len({id(r[1]) for r in records}) == 1  # still one site object
 
     def test_info_reads_header_and_footer(self, tmp_path):
         violations = [NestingViolation(1, 999, site("oops", SiteKind.REGION), "detail")]
@@ -214,7 +276,7 @@ class TestErrors:
 
     def test_version_1_is_rejected(self, tmp_path):
         path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
-        path.write_text(path.read_text().replace("profile-dump 3", "profile-dump 1", 1))
+        path.write_text(path.read_text().replace("profile-dump 4", "profile-dump 1", 1))
         for reader in (read_dump, read_dump_info):
             with pytest.raises(DumpFormatError, match="'profile-dump 1'"):
                 reader(path)
@@ -231,7 +293,22 @@ class TestErrors:
             with pytest.raises(DumpFormatError) as info:
                 reader(path)
             assert str(info.value) == (
-                f"{path}: unsupported dump format 'profile-dump 2'; expected 'profile-dump 3'"
+                f"{path}: unsupported dump format 'profile-dump 2'; expected 'profile-dump 4'"
+            )
+
+    def test_version_3_is_rejected(self, tmp_path):
+        path = tmp_path / "v3.dump"
+        path.write_text(
+            "profile-dump 3\nrun_id r\nentity e\nend_header\n"
+            "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\n"
+            "E\t1000\t10\t0\tpoll\nX\t2500\t12\t0\t-\n"
+            "end_events\ncounts\t2\t0\nend_dump\n"
+        )
+        for reader in (read_dump, read_dump_info, DumpStream):
+            with pytest.raises(DumpFormatError) as info:
+                reader(path)
+            assert str(info.value) == (
+                f"{path}: unsupported dump format 'profile-dump 3'; expected 'profile-dump 4'"
             )
 
     @pytest.mark.parametrize(
@@ -242,25 +319,27 @@ class TestErrors:
             ("S\t2\t3000\t15\t", "line 15: malformed 'S' record"),
             ("V\t1\t2\tf.py\t1\tsym\tQ\tdetail", "line 15: malformed 'V' record"),
             (
-                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nX\tnot-a-time\t12\t0\t-",
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\t-\nX\tnot-a-time\t12\t0",
                 "line 17: malformed 'X' record",
             ),
             ("T\tone", "line 15: malformed 'T' record"),
             ("T\t1\nsite\t0\tf.py\t1\tpoll_wait", "line 16: malformed 'site' record"),
-            ("site\tzero\tf.py\t1\tpoll_wait\tR", "line 15: malformed 'site' record"),
+            ("site\tzero\tf.py\t1\tpoll_wait\tR\t-", "line 15: malformed 'site' record"),
             (
-                "site\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t0\t-",
+                "site\t0\tf.py\t1\tpoll_wait\tR\t-\nE\t1000\t10\t0",
                 "line 16: 'E' before any T line",
             ),
             (
-                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t1\t-",
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\t-\nE\t1000\t10\t1",
                 "line 17: unknown site number '1'",
             ),
             (
-                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\nE\t1000\t10\t0\t-\n"
-                "site\t0\tf.py\t2\tother\tF",
+                "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\t-\nE\t1000\t10\t0\n"
+                "site\t0\tf.py\t2\tother\tF\t-",
                 "line 18: site '0' defined twice",
             ),
+            ("T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\t-\nE\t1000\t10\t0\t-",
+             "line 17: malformed 'E' record"),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, bad, needle):
@@ -274,7 +353,7 @@ class TestErrors:
         path = write_dump(tmp_path / "x.dump", META, CAL, sample_events())
         data = path.read_bytes()
         path.write_bytes(data[: data.index(b"\nX\t") + 4])
-        with pytest.raises(DumpFormatError, match=r"x\.dump: line 18: malformed 'X' record"):
+        with pytest.raises(DumpFormatError, match=r"x\.dump: line 19: malformed 'X' record"):
             read_dump(path)
         with pytest.raises(DumpFormatError, match="no end_events"):
             read_dump_info(path)
@@ -302,12 +381,13 @@ class TestStream:
     @pytest.mark.parametrize(
         "edit, needle",
         [
-            # lines 15-19 are T, site, E, X and S; the edits go in before the X
-            (("\nX\t", "\nE\t1\t2\nX\t"), "line 18: malformed 'E' record"),
-            (("\nX\t", "\nE\nX\t"), "line 18: malformed 'E' record"),
-            (("\nX\t", "\nQ\t1\t2\nX\t"), "line 18: unknown event record 'Q'"),
-            (("counts\t3\t0", "counts\t4\t0"), "line 21: footer counts 4 events"),
-            (("\nX\t2500\t12\t0\t", "\nX\t2500\t12\t7\t"), "line 18: unknown site number '7'"),
+            # lines 15-20 are T, site, E, site, X and S; the edits go in
+            # before the second site line
+            (("\nsite\t1\t", "\nE\t1\t2\nsite\t1\t"), "line 18: malformed 'E' record"),
+            (("\nsite\t1\t", "\nE\nsite\t1\t"), "line 18: malformed 'E' record"),
+            (("\nsite\t1\t", "\nQ\t1\t2\nsite\t1\t"), "line 18: unknown event record 'Q'"),
+            (("counts\t3\t0", "counts\t4\t0"), "line 22: footer counts 4 events"),
+            (("\nsite\t1\t", "\nE\t1\t2\t7\nsite\t1\t"), "line 18: unknown site number '7'"),
         ],
     )
     def test_streamed_errors_name_file_and_line(self, tmp_path, edit, needle):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import site
-from planeprof.instrument.events import TAG_SLEEP, EventKind, SiteKind
+from planeprof.instrument.events import TAG_SLEEP, CodeSite, EventKind, SiteKind
 from planeprof.instrument.recorder import Recorder
 from planeprof.model.aggregate import aggregate_functions
 
@@ -52,6 +52,15 @@ class TestRegions:
         profile = aggregate_functions(recorder.events())
         assert good in profile.rows
         assert bad not in profile.rows
+
+    def test_equal_but_distinct_site_closes_its_bracket(self, recorder):
+        opened = site("work")
+        twin = CodeSite(opened.file, opened.line, opened.symbol, opened.kind)
+        assert twin == opened and twin is not opened
+        recorder.enter(opened)
+        recorder.exit(twin)
+        assert recorder.violations == []
+        assert [rec[0] for _, recs in recorder.records() for rec in recs] == ["E", "X"]
 
     def test_events_monotonic_per_thread(self, recorder):
         s = site("tick", SiteKind.REGION)
