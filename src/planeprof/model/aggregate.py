@@ -31,7 +31,8 @@ _NO_WALL = -(1 << 63)  # below any clock reading
 
 
 class MalformedStream(Exception):
-    """The stream cannot be repaired (clock regression within a thread)."""
+    """The stream cannot be repaired: a clock regression within a thread, or
+    recursive activations closed inside one that never closes."""
 
 
 class UnknownScope(Exception):
@@ -159,7 +160,9 @@ def walk(
     Sites are compared with ``is``, so equal sites must be one object, as
     :class:`DumpStream` and :func:`records_of` yield them. Samples are
     skipped. Unmatched brackets are dropped (theirs is the violation the
-    recorder already flagged); a backwards wall clock is unrepairable.
+    recorder already flagged); a backwards wall clock, and a site whose
+    recursive activations close inside a primitive one that never closes,
+    are unrepairable.
     Region rows are kept for ``scope``, or for the first ``FUNCTION`` site
     named ``scope_symbol`` in stream order.
     """
@@ -228,6 +231,17 @@ def walk(
                     region = thread.regions[key] = [site, 0, 0]
                 region[1] += 1
                 region[2] += span
+    # A recursive activation's exclusive time is covered by its primitive
+    # one's inclusive time only once that closes. In a stream whose
+    # primitive frame never closes (lines reordered, or a thread id reused
+    # after its thread died with the frame open) no valid row exists.
+    for tid, thread in threads.items():
+        for row in thread.rows.values():
+            if row.cum_ns < row.tot_ns:
+                raise MalformedStream(
+                    f"thread {tid}: {row.site.label()} returned from recursive calls "
+                    f"inside an activation that never returned"
+                )
     return Walk(threads, scope, scope_seen)
 
 

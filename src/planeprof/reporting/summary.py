@@ -41,10 +41,10 @@ def _calibration_txt(cal: ClockCalibration) -> str:
 def render_summary(run_dir: Path | str) -> str:
     """Human-readable overview of a run directory's dumps and timeline.
 
-    Each entity's ``self_cost`` estimates what profiling cost it: one
-    calibrated enter/exit pair per two events, as a share of its elapsed
-    time. The run's calibration is the orchestrator's; a dump that carries
-    another one is named.
+    Each entity's ``self_cost_of_cpu`` estimates what profiling cost it:
+    one calibrated enter/exit pair per two events, as a share of the CPU
+    time (user + system) of its coarse record. The run's calibration is
+    the orchestrator's; a dump that carries another one is named.
     """
     run_dir = Path(run_dir)
     dumps_dir = run_dir / "dumps"
@@ -75,9 +75,10 @@ def render_summary(run_dir: Path | str) -> str:
                 f"elapsed={coarse.elapsed_s:.3f}s user={coarse.user_s:.3f}s "
                 f"system={coarse.system_s:.3f}s"
             )
-            if coarse.elapsed_s > 0:
+            cpu_s = coarse.user_s + coarse.system_s
+            if cpu_s > 0:
                 cost_ns = info.events / 2 * info.calibration.pair_overhead_ns
-                coarse_txt += f" self_cost={cost_ns / (coarse.elapsed_s * 1e9):.2%}"
+                coarse_txt += f" self_cost_of_cpu={cost_ns / (cpu_s * 1e9):.2%}"
         lines.append(
             f"  {info.meta.entity:<20} {info.meta.role:<18} "
             f"events={info.events:<7} {coarse_txt}"

@@ -12,7 +12,10 @@ environment variables (``HOST_NAME``, ``NAME_SERVER_ADDR``,
 run's clock calibration as four comma-separated integers); thread mode
 constructs the same classes in-process. Either way each entity records its
 own profile with the run's calibration and writes one dump at clean
-shutdown.
+shutdown. A process-mode entity then ends with ``os._exit`` once its
+standard streams are flushed (see ``__main__``): no atexit handler runs in
+it, and the rusage the orchestrator collects with ``wait4`` does not
+include interpreter teardown.
 """
 
 from __future__ import annotations

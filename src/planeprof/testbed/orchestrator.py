@@ -462,46 +462,63 @@ class RunningTopology:
 
     # -- teardown ----------------------------------------------------------------
 
-    def _reap(self, handle: EntityHandle, deadline_s: float) -> None:
-        popen = handle.popen
-        if popen is None:
-            return
-        deadline = time.monotonic() + deadline_s
-        killed_late = False
-        while True:
-            try:
-                pid, status, rusage = os.wait4(popen.pid, os.WNOHANG)
-            except ChildProcessError:
-                handle.exit_code = popen.returncode
+    @staticmethod
+    def _reap(handles: List[EntityHandle], deadline: float) -> None:
+        """Wait for each entity process in turn and record its exit code and
+        rusage; one watchdog SIGKILLs every one still alive at ``deadline``
+        (a ``time.monotonic()`` value).
+
+        A child is first waited for with ``WNOWAIT``, which leaves it a
+        zombie, so its pid cannot be reused before ``wait4`` reaps it. That
+        happens under the lock the watchdog kills under, after the pid has
+        left ``alive``, so the watchdog never signals a reaped pid.
+        """
+        # a child that failed to spawn was reaped by Popen.poll() already
+        alive = {h.popen.pid for h in handles if h.popen.returncode is None}
+        lock = threading.Lock()
+        reaped = threading.Event()
+
+        def watchdog() -> None:
+            if reaped.wait(deadline - time.monotonic()):
                 return
-            if pid == popen.pid:
-                break
-            if time.monotonic() >= deadline and not killed_late:
-                try:
-                    os.kill(popen.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                killed_late = True
-            time.sleep(0.02)
-        # Popen never reaped this child itself; record the status for it so
-        # its destructor stays quiet.
-        popen.returncode = (
-            -os.WTERMSIG(status) if os.WIFSIGNALED(status) else os.WEXITSTATUS(status)
-        )
-        handle.exit_code = popen.returncode
-        handle.coarse = breakdown_from_rusage(rusage, time.monotonic() - handle.spawned_at)
+            with lock:
+                for pid in alive:  # unreaped, so a live child or a zombie
+                    os.kill(pid, signal.SIGKILL)
+
+        threading.Thread(target=watchdog, name="reap-watchdog", daemon=True).start()
+        try:
+            for handle in handles:
+                popen = handle.popen
+                if popen.pid in alive:
+                    os.waitid(os.P_PID, popen.pid, os.WEXITED | os.WNOWAIT)
+                    with lock:
+                        alive.discard(popen.pid)
+                        _, status, rusage = os.wait4(popen.pid, 0)
+                    # recorded for Popen too, so its destructor stays quiet
+                    popen.returncode = os.waitstatus_to_exitcode(status)
+                    handle.coarse = breakdown_from_rusage(
+                        rusage, time.monotonic() - handle.spawned_at
+                    )
+                handle.exit_code = popen.returncode
+        finally:
+            reaped.set()
 
     def shutdown(self, grace_s: float = 5.0) -> Dict[str, Optional[CoarseBreakdown]]:
-        """Stop everything, collect per-entity coarse breakdowns and dumps."""
+        """Stop everything, collect per-entity coarse breakdowns and dumps.
+
+        Entity processes get ``grace_s`` from the shutdown broadcast, all
+        together, to exit; any one still alive then is SIGKILLed.
+        """
         if self._down:
             return {h.name: h.coarse for h in self.handles.values()}
         self._down = True
         if self.manager is not None:
             self.manager.broadcast_shutdown()
+        processes = [h for h in self.handles.values() if h.popen is not None]
+        if processes:
+            self._reap(processes, time.monotonic() + grace_s)
         for handle in self.handles.values():
-            if handle.popen is not None:
-                self._reap(handle, grace_s)
-            elif handle.thread is not None:
+            if handle.thread is not None:
                 handle.thread.join(timeout=grace_s)
                 if handle.entity is not None and not handle.killed:
                     handle.coarse = None  # thread mode: no per-entity OS accounting

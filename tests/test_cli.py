@@ -7,17 +7,29 @@ import shutil
 import socket
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planeprof.cli
 import planeprof.instrument.dumpio
 import planeprof.reporting.summary as summary
 from planeprof.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from planeprof.instrument.dumpio import DumpInfo, DumpMeta, DumpStream, read_dump, write_dump
+from planeprof.instrument.dumpio import (
+    DumpInfo,
+    DumpMeta,
+    DumpStream,
+    read_dump,
+    write_dump,
+    write_records,
+)
 from planeprof.instrument.events import CodeSite, EventKind, ProfileEvent, SiteKind
-from planeprof.instrument.recorder import ClockCalibration
+from planeprof.instrument.proctimes import CoarseBreakdown
+from planeprof.instrument.recorder import ClockCalibration, Recorder
 from planeprof.model.aggregate import (
     aggregate_regions,
     aggregate_threads,
@@ -301,6 +313,112 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: line {at + 1}: wall clock regressed on thread ")
         assert "Traceback" not in err
+
+    # Each stream leaves b's primitive activation open around a closed
+    # recursive one: the first drops the misplaced `X b`, the second is
+    # cut short. No valid row for b exists.
+    @pytest.mark.parametrize(
+        "spec", ["E b, E a, X b, E b, X b, X a", "X b, E b, E b, X b"]
+    )
+    def test_open_activation_around_closed_recursion_is_config_error(
+        self, tmp_path, capsys, spec
+    ):
+        sites = {s: CodeSite("r.py", n, s, SiteKind.FUNCTION) for n, s in enumerate("ab")}
+        records = [
+            (code, sites[symbol], 10 * n, 0, None)
+            for n, (code, symbol) in enumerate(item.split() for item in spec.split(", "))
+        ]
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        path = write_records(
+            dumps / "orchestrator.dump",
+            DumpMeta(run_id="r", entity="orchestrator", role="global_manager"),
+            ClockCalibration(50, 100, 0, 1000),
+            [(1, records)],
+        )
+        end = path.read_text().splitlines().index("end_events") + 1
+        for argv in (
+            ["analyze", "--dumps", str(dumps), "--out", str(tmp_path / "f.json")],
+            ["report", "--kind", "thread_table", "--dumps", str(dumps),
+             "--out", str(tmp_path / "t.txt")],
+        ):
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"error: {path}: line {end}: thread 1: r.py:1(b) returned from recursive "
+                "calls inside an activation that never returned\n"
+            )
+
+
+@pytest.fixture(scope="module")
+def recorded_dump(tmp_path_factory):
+    """A small recorder-written dump: two threads, recursion, tags, a
+    violation and a coarse footer."""
+    rec = Recorder(calibration=ClockCalibration(50, 100, 0, 1000))
+    outer = CodeSite("w.py", 1, "outer", SiteKind.FUNCTION)
+    inner = CodeSite("w.py", 2, "inner", SiteKind.REGION)
+
+    def work(depth):
+        with rec.region(outer):
+            for _ in range(2):
+                with rec.region(inner, tag="t"):
+                    pass
+            if depth:
+                work(depth - 1)
+
+    worker = threading.Thread(target=work, args=(2,))
+    worker.start()
+    worker.join(timeout=10)
+    work(1)
+    rec.exit(inner)  # exit without enter: a violation
+    path = write_records(
+        tmp_path_factory.mktemp("recorded") / "orchestrator.dump",
+        DumpMeta(run_id="r", entity="orchestrator", role="global_manager"),
+        rec.calibration,
+        rec.records(),
+        rec.violations,
+        CoarseBreakdown(1.0, 0.5, 0.25),
+    )
+    return path.read_bytes()
+
+
+def _damaged(data: bytes, how: str, a: int, b: int) -> bytes:
+    if how == "truncate":
+        return data[: a % len(data)]
+    if how == "flip":
+        at = a % len(data)
+        return data[:at] + bytes([data[at] ^ (1 << b % 8)]) + data[at + 1:]
+    lines = data.splitlines(keepends=True)
+    i, j = a % len(lines), b % len(lines)
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+class TestDamagedDumps:
+    def test_recorded_dump_reads_cleanly(self, recorded_dump, tmp_path):
+        (tmp_path / "orchestrator.dump").write_bytes(recorded_dump)
+        assert main(["analyze", "--dumps", str(tmp_path), "--out", str(tmp_path / "f.json")]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        how=st.sampled_from(["truncate", "flip", "delete", "duplicate", "swap"]),
+        a=st.integers(min_value=0, max_value=1 << 16),
+        b=st.integers(min_value=0, max_value=1 << 16),
+    )
+    def test_read_commands_exit_0_or_2(self, recorded_dump, how, a, b):
+        with tempfile.TemporaryDirectory() as scratch:
+            dumps = Path(scratch)
+            (dumps / "orchestrator.dump").write_bytes(_damaged(recorded_dump, how, a, b))
+            for argv in (
+                ["analyze", "--dumps", scratch, "--out", str(dumps / "f.json")],
+                ["report", "--kind", "thread_table", "--dumps", scratch,
+                 "--out", str(dumps / "t.txt")],
+            ):
+                assert main(argv) in (EXIT_OK, EXIT_CONFIG)
 
 
 class TestStreaming:

@@ -291,7 +291,7 @@ class TestSummaryAndIndex:
             DumpMeta(run_id="run-x", entity="orchestrator", role="global_manager"),
             ClockCalibration(90, 8000, 1_000_000, 1500),
             events,
-            coarse=CoarseBreakdown(0.00001, 0.0, 0.0),
+            coarse=CoarseBreakdown(1.0, 0.000008, 0.000002),
         )
         write_dump(
             dumps / "hand.dump",
@@ -300,11 +300,11 @@ class TestSummaryAndIndex:
             [],
         )
         lines = render_summary(synthetic_run).splitlines()
-        # two pairs at 1500 ns against 10 us elapsed
+        # two pairs at 1500 ns against 10 us of CPU, not the 1 s elapsed
         assert [l for l in lines if l.startswith("  orchestrator")][0].endswith(
-            "self_cost=30.00%"
+            "self_cost_of_cpu=30.00%"
         )
-        assert [l for l in lines if l.startswith("  gc")][0].endswith("self_cost=0.00%")
+        assert [l for l in lines if l.startswith("  gc")][0].endswith("self_cost_of_cpu=0.00%")
         assert lines[-2:] == [
             "calibration: wall_cost_ns=90 cpu_cost_ns=8000 cpu_refresh_wall_ns=1000000 "
             "pair_overhead_ns=1500",

@@ -16,7 +16,7 @@ import pytest
 from conftest import fast_scenario
 from planeprof.instrument.dumpio import read_dump
 from planeprof.instrument.events import TAG_SLEEP
-from planeprof.instrument.recorder import ClockCalibration
+from planeprof.instrument.recorder import ClockCalibration, Recorder
 from planeprof.model.aggregate import aggregate_functions, profile_from_dump
 from planeprof.model.merge import merge_profiles
 from planeprof.testbed.config import NodeRole
@@ -24,9 +24,11 @@ from planeprof.testbed.entity import Entity, EntityConfig, SITE_POLL, build_enti
 from planeprof.testbed.orchestrator import (
     BootstrapPhase,
     BootstrapTimeout,
+    EntityHandle,
     EntitySpawnFailed,
     NoActiveWorkflow,
     PortUnavailable,
+    RunningTopology,
     bootstrap,
     monitor_liveness,
 )
@@ -418,6 +420,32 @@ class TestProcessMode:
         # one calibration per run: every entity carries the orchestrator's
         run_cal = [d.calibration for d in dumps if d.meta.entity == "orchestrator"][0]
         assert all(d.calibration == run_cal for d in dumps)
+        # every entity ended cleanly and wrote nothing to its log
+        assert {h.name: h.exit_code for h in t.handles.values()} == {
+            name: 0 for name in t.handles
+        }
         logs = sorted((tmp_path / "logs").glob("*.stderr"))
         assert len(logs) == len(t.dump_paths) - 1
-        assert not [p.name for p in logs if "RuntimeWarning" in p.read_text()]
+        assert {p.name: p.read_text() for p in logs} == {p.name: "" for p in logs}
+
+    def test_entity_ignoring_shutdown_is_killed_at_the_deadline(self):
+        t = RunningTopology(
+            fast_scenario(entity_mode="process"), "run-hung", None, Recorder(enabled=False)
+        )
+        for name, code in (("clean", "pass"), ("hung", "import time; time.sleep(60)")):
+            t.handles[name] = EntityHandle(
+                name=name,
+                role=NodeRole.HOST_NODE,
+                zone=1,
+                site=1,
+                index=1,
+                mode="process",
+                popen=subprocess.Popen([sys.executable, "-c", code]),
+                spawned_at=time.monotonic(),
+            )
+        start = time.monotonic()
+        coarse = t.shutdown(grace_s=1.0)
+        assert time.monotonic() - start < 1.0 + 1.0
+        assert t.handles["clean"].exit_code == 0
+        assert t.handles["hung"].exit_code == -9
+        assert coarse["hung"] is not None and coarse["hung"].elapsed_s >= 1.0
