@@ -22,7 +22,7 @@ from planeprof.instrument.recorder import Recorder, calibrate_clocks
 from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stream
 from planeprof.model.merge import RunIdMismatch, merge_profiles
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
-from planeprof.reporting.exports import read_export, write_export
+from planeprof.reporting.exports import ExportFormatError, read_export, write_export
 from planeprof.reporting.summary import render_summary, write_dump_index
 from planeprof.reporting.tables import (
     InvalidSortKey,
@@ -218,7 +218,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     kind = ReportKind(args.kind)
     fmt = ReportFormat(args.format)
     if args.export:
-        loaded_kind, data = read_export(Path(args.export))
+        try:
+            loaded_kind, data = read_export(Path(args.export))
+        except (ExportFormatError, UnicodeDecodeError) as exc:
+            raise ExportFormatError(f"{args.export}: {exc}") from None
         if loaded_kind is not kind:
             raise CliError(f"export holds {loaded_kind.value}, not {kind.value}")
     else:
@@ -345,6 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         RunIdMismatch,
         UnknownScope,
         DumpFormatError,
+        ExportFormatError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

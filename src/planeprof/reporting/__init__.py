@@ -1,13 +1,6 @@
 """Rendering profiles and findings as text tables, CSV and structured JSON."""
 
-from planeprof.reporting.exports import (
-    export_csv,
-    export_json,
-    import_function_csv,
-    import_json,
-    import_region_csv,
-    import_thread_csv,
-)
+from planeprof.reporting.exports import export_csv, export_json, import_csv, import_json
 from planeprof.reporting.summary import render_summary, write_dump_index
 from planeprof.reporting.tables import (
     InvalidSortKey,
@@ -25,10 +18,8 @@ __all__ = [
     "ReportSpec",
     "export_csv",
     "export_json",
-    "import_function_csv",
+    "import_csv",
     "import_json",
-    "import_region_csv",
-    "import_thread_csv",
     "render",
     "render_summary",
     "write_dump_index",

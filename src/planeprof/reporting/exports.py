@@ -1,8 +1,14 @@
 """Lossless CSV and versioned structured (JSON) exports.
 
-Times stay integer nanoseconds and floats are written with ``repr`` so a
+``_SCHEMAS`` holds one entry per report kind: a function that builds the
+structured document from the data, one that rebuilds the data from it, and
+the document list that holds the CSV rows, with a dotted path into a row for
+each CSV column (a ``meta`` path reads the document's meta). A column's
+header is its path without the ``meta`` and ``site`` steps, joined by ``_``.
+Times stay integer nanoseconds and floats are written with ``repr``, so a
 re-parse reproduces every numeric field exactly. The structured format is
-also the merged-profile and findings file format.
+also the merged-profile and findings file format. Hotspot and compare CSVs
+leave fields out, so only their structured exports read back.
 """
 
 from __future__ import annotations
@@ -10,8 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List
+from typing import Any, Callable, Dict, Tuple
 
 from planeprof.analysis.categories import TimeCategory
 from planeprof.analysis.hotspots import CategoryDelta, CompareReport, HotspotFinding, SiteDelta
@@ -34,344 +41,287 @@ class ExportFormatError(Exception):
     """The file is not a readable export."""
 
 
+# what a malformed document or CSV raises while it is decoded
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, csv.Error)
+
+
+# Fields that the exports write and read back under their attribute names: a
+# name added to a tuple reaches every export and importer of that row type.
+_SITE_PATHS = ("site.file", "site.line", "site.symbol")
+_STATS = ("ncalls_total", "ncalls_primitive", "tottime_ns", "cumtime_ns")
+_REGION = ("hits", "time_ns")
+_THREAD = ("ncall", "tsub_ns", "ttot_ns")
+_COARSE = ("elapsed_s", "user_s", "system_s")
+_CATEGORY = ("before_ns", "after_ns")
+_SITE_DELTA = ("ncalls_before", "ncalls_after", "tottime_before_ns", "tottime_after_ns")
+
+
+def _pick(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _parse(d: dict, names, parse=int) -> dict:
+    return {name: parse(d[name]) for name in names}
+
+
 def _site_dict(site: CodeSite) -> dict:
     return {"file": site.file, "line": site.line, "symbol": site.symbol, "kind": site.kind.value}
 
 
-def _site_from(d: dict) -> CodeSite:
-    return CodeSite(d["file"], int(d["line"]), d["symbol"], SiteKind(d["kind"]))
+def _site_from(d: dict, kind: SiteKind = SiteKind.FUNCTION) -> CodeSite:
+    """``kind`` stands in where the export leaves the site kind out."""
+    return CodeSite(d["file"], int(d["line"]), d["symbol"], SiteKind(d.get("kind", kind)))
 
 
-# -- CSV ----------------------------------------------------------------------
-
-FUNCTION_CSV_FIELDS = [
-    "file", "line", "symbol", "kind", "tag",
-    "ncalls_total", "ncalls_primitive", "tottime_ns", "cumtime_ns",
-]
-REGION_CSV_FIELDS = [
-    "scope_file", "scope_line", "scope_symbol", "scope_time_ns",
-    "file", "line", "symbol", "hits", "time_ns", "pct_time",
-]
-THREAD_CSV_FIELDS = ["thread", "file", "line", "symbol", "kind", "ncall", "tsub_ns", "ttot_ns"]
-COARSE_CSV_FIELDS = ["entity", "elapsed_s", "user_s", "system_s"]
-HOTSPOT_CSV_FIELDS = ["category", "share_pct", "file", "line", "symbol", "recommendation"]
-COMPARE_CSV_FIELDS = ["category", "before_ns", "after_ns"]
+def _stats_dict(s: FunctionStats) -> dict:
+    return {"site": _site_dict(s.site), **_pick(s, _STATS)}
 
 
-def export_csv(data, kind: ReportKind) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if kind is ReportKind.FUNCTION_TABLE:
-        writer.writerow(FUNCTION_CSV_FIELDS)
-        for r in sorted(data.rows.values(), key=lambda r: r.site.label()):
-            writer.writerow(
-                [
-                    r.site.file, r.site.line, r.site.symbol, r.site.kind.value,
-                    r.tag or "", r.ncalls_total, r.ncalls_primitive,
-                    r.tottime_ns, r.cumtime_ns,
-                ]
-            )
-    elif kind is ReportKind.LINE_TABLE:
-        writer.writerow(REGION_CSV_FIELDS)
-        scope = data.scope
-        for r in sorted(data.rows.values(), key=lambda r: r.site.line):
-            writer.writerow(
-                [
-                    scope.file, scope.line, scope.symbol, data.scope_time_ns,
-                    r.site.file, r.site.line, r.site.symbol,
-                    r.hits, r.time_ns, repr(r.pct_time),
-                ]
-            )
-    elif kind is ReportKind.THREAD_TABLE:
-        writer.writerow(THREAD_CSV_FIELDS)
-        for r in sorted(data, key=lambda r: (r.name, r.site.label())):
-            writer.writerow(
-                [
-                    r.name, r.site.file, r.site.line, r.site.symbol,
-                    r.site.kind.value, r.ncall, r.tsub_ns, r.ttot_ns,
-                ]
-            )
-    elif kind is ReportKind.COARSE_TABLE:
-        writer.writerow(COARSE_CSV_FIELDS)
-        for name, b in sorted(data.items()):
-            writer.writerow([name, repr(b.elapsed_s), repr(b.user_s), repr(b.system_s)])
-    elif kind is ReportKind.HOTSPOT_REPORT:
-        writer.writerow(HOTSPOT_CSV_FIELDS)
-        for f in data:
-            writer.writerow(
-                [
-                    f.category.value, repr(f.share_pct),
-                    f.site.file if f.site else "", f.site.line if f.site else "",
-                    f.site.symbol if f.site else "", f.recommendation,
-                ]
-            )
-    elif kind is ReportKind.COMPARE_REPORT:
-        writer.writerow(COMPARE_CSV_FIELDS)
-        for d in data.categories:
-            writer.writerow([d.category.value, d.before_ns, d.after_ns])
-    else:
-        raise ValueError(f"no csv export for {kind}")
-    return out.getvalue()
+def _stats_from(d: dict) -> FunctionStats:
+    return FunctionStats(site=_site_from(d["site"]), tag=d.get("tag") or None, **_parse(d, _STATS))
 
 
-def import_function_csv(text: str) -> FunctionProfile:
-    profile = FunctionProfile()
-    for row in csv.DictReader(io.StringIO(text)):
-        site = CodeSite(
-            row["file"], int(row["line"]), row["symbol"], SiteKind(row["kind"])
-        )
-        profile.rows[site] = FunctionStats(
-            site=site,
-            ncalls_total=int(row["ncalls_total"]),
-            ncalls_primitive=int(row["ncalls_primitive"]),
-            tottime_ns=int(row["tottime_ns"]),
-            cumtime_ns=int(row["cumtime_ns"]),
-            tag=row["tag"] or None,
-        )
-    return profile
+def _function_doc(profile: FunctionProfile) -> dict:
+    return {
+        "meta": {
+            "run_id": profile.run_id,
+            "scenario": profile.scenario,
+            "scale_factor": profile.scale_factor,
+            "sources": list(profile.sources),
+            "wall_span_ns": profile.wall_span_ns,
+        },
+        "rows": [
+            dict(_stats_dict(r), tag=r.tag)
+            for r in sorted(profile.rows.values(), key=lambda r: r.site.label())
+        ],
+    }
 
 
-def import_region_csv(text: str) -> RegionProfile:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if not rows:
-        raise ExportFormatError("empty region csv")
-    first = rows[0]
-    scope = CodeSite(
-        first["scope_file"], int(first["scope_line"]), first["scope_symbol"], SiteKind.FUNCTION
+def _function_data(doc: dict) -> FunctionProfile:
+    meta = doc.get("meta", {})
+    profile = FunctionProfile(
+        run_id=meta.get("run_id", "-"),
+        scenario=meta.get("scenario", "-"),
+        scale_factor=float(meta.get("scale_factor", 1.0)),
+        sources=tuple(meta.get("sources", ())),
+        wall_span_ns=int(meta.get("wall_span_ns", 0)),
     )
-    profile = RegionProfile(scope=scope, scope_time_ns=int(first["scope_time_ns"]))
-    for row in rows:
-        site = CodeSite(row["file"], int(row["line"]), row["symbol"], SiteKind.REGION)
+    profile.rows.update((s.site, s) for s in map(_stats_from, doc["rows"]))
+    return profile
+
+
+def _region_doc(profile: RegionProfile) -> dict:
+    return {
+        "meta": {"scope": _site_dict(profile.scope), "scope_time_ns": profile.scope_time_ns},
+        "rows": [
+            {"site": _site_dict(r.site), "pct_time": r.pct_time, **_pick(r, _REGION)}
+            for r in sorted(profile.rows.values(), key=lambda r: r.site.line)
+        ],
+    }
+
+
+def _region_data(doc: dict) -> RegionProfile:
+    meta = doc["meta"]
+    profile = RegionProfile(
+        scope=_site_from(meta["scope"]), scope_time_ns=int(meta["scope_time_ns"])
+    )
+    for row in doc["rows"]:
+        site = _site_from(row["site"], SiteKind.REGION)
         profile.rows[site] = RegionStats(
-            site=site,
-            hits=int(row["hits"]),
-            time_ns=int(row["time_ns"]),
-            pct_time=float(row["pct_time"]),
+            site=site, pct_time=float(row["pct_time"]), **_parse(row, _REGION)
         )
     return profile
 
 
-def import_thread_csv(text: str) -> List[ThreadStats]:
-    out = []
-    for row in csv.DictReader(io.StringIO(text)):
-        out.append(
-            ThreadStats(
-                name=row["thread"],
-                site=CodeSite(
-                    row["file"], int(row["line"]), row["symbol"], SiteKind(row["kind"])
-                ),
-                ncall=int(row["ncall"]),
-                tsub_ns=int(row["tsub_ns"]),
-                ttot_ns=int(row["ttot_ns"]),
-            )
-        )
-    return out
+def _thread_doc(rows) -> dict:
+    return {
+        "rows": [
+            {"thread": r.name, "site": _site_dict(r.site), **_pick(r, _THREAD)}
+            for r in sorted(rows, key=lambda r: (r.name, r.site.label()))
+        ]
+    }
 
 
-# -- structured JSON -----------------------------------------------------------
+def _thread_data(doc: dict) -> list:
+    return [
+        ThreadStats(name=row["thread"], site=_site_from(row["site"]), **_parse(row, _THREAD))
+        for row in doc["rows"]
+    ]
 
-def export_json(data, kind: ReportKind) -> str:
-    doc: dict = {"format": EXPORT_FORMAT, "version": EXPORT_VERSION, "kind": kind.value}
-    if kind is ReportKind.FUNCTION_TABLE:
-        doc["meta"] = {
-            "run_id": data.run_id,
-            "scenario": data.scenario,
-            "scale_factor": data.scale_factor,
-            "sources": list(data.sources),
-            "wall_span_ns": data.wall_span_ns,
-        }
-        doc["rows"] = [
-            {
-                "site": _site_dict(r.site),
-                "tag": r.tag,
-                "ncalls_total": r.ncalls_total,
-                "ncalls_primitive": r.ncalls_primitive,
-                "tottime_ns": r.tottime_ns,
-                "cumtime_ns": r.cumtime_ns,
-            }
-            for r in sorted(data.rows.values(), key=lambda r: r.site.label())
+
+def _coarse_doc(breakdowns: Dict[str, CoarseBreakdown]) -> dict:
+    return {
+        "rows": [
+            {"entity": name, **_pick(b, _COARSE)} for name, b in sorted(breakdowns.items())
         ]
-    elif kind is ReportKind.LINE_TABLE:
-        doc["meta"] = {"scope": _site_dict(data.scope), "scope_time_ns": data.scope_time_ns}
-        doc["rows"] = [
-            {
-                "site": _site_dict(r.site),
-                "hits": r.hits,
-                "time_ns": r.time_ns,
-                "pct_time": r.pct_time,
-            }
-            for r in sorted(data.rows.values(), key=lambda r: r.site.line)
-        ]
-    elif kind is ReportKind.THREAD_TABLE:
-        doc["rows"] = [
-            {
-                "thread": r.name,
-                "site": _site_dict(r.site),
-                "ncall": r.ncall,
-                "tsub_ns": r.tsub_ns,
-                "ttot_ns": r.ttot_ns,
-            }
-            for r in sorted(data, key=lambda r: (r.name, r.site.label()))
-        ]
-    elif kind is ReportKind.COARSE_TABLE:
-        doc["rows"] = [
-            {"entity": name, "elapsed_s": b.elapsed_s, "user_s": b.user_s, "system_s": b.system_s}
-            for name, b in sorted(data.items())
-        ]
-    elif kind is ReportKind.HOTSPOT_REPORT:
-        doc["rows"] = [
+    }
+
+
+def _coarse_data(doc: dict) -> Dict[str, CoarseBreakdown]:
+    return {row["entity"]: CoarseBreakdown(**_parse(row, _COARSE, float)) for row in doc["rows"]}
+
+
+def _hotspot_doc(findings) -> dict:
+    return {
+        "rows": [
             {
                 "category": f.category.value,
                 "share_pct": f.share_pct,
                 "site": _site_dict(f.site) if f.site else None,
                 "recommendation": f.recommendation,
-                "evidence": [
-                    {
-                        "site": _site_dict(e.site),
-                        "tottime_ns": e.tottime_ns,
-                        "cumtime_ns": e.cumtime_ns,
-                        "ncalls_total": e.ncalls_total,
-                        "ncalls_primitive": e.ncalls_primitive,
-                    }
-                    for e in f.evidence
-                ],
+                "evidence": [_stats_dict(e) for e in f.evidence],
             }
-            for f in data
+            for f in findings
         ]
-    elif kind is ReportKind.COMPARE_REPORT:
-        doc["meta"] = {"scenario": data.scenario}
-        doc["categories"] = [
-            {"category": d.category.value, "before_ns": d.before_ns, "after_ns": d.after_ns}
-            for d in data.categories
-        ]
-        doc["regressions"] = [d.category.value for d in data.regressions]
-        doc["sites"] = [
-            {
-                "site": _site_dict(s.site),
-                "ncalls_before": s.ncalls_before,
-                "ncalls_after": s.ncalls_after,
-                "tottime_before_ns": s.tottime_before_ns,
-                "tottime_after_ns": s.tottime_after_ns,
-            }
-            for s in data.sites
-        ]
-    else:
-        raise ValueError(f"no structured export for {kind}")
+    }
+
+
+def _hotspot_data(doc: dict) -> list:
+    return [
+        HotspotFinding(
+            category=TimeCategory(row["category"]),
+            site=_site_from(row["site"]) if row.get("site") else None,
+            share_pct=float(row["share_pct"]),
+            evidence=tuple(_stats_from(e) for e in row.get("evidence", [])),
+            recommendation=row["recommendation"],
+        )
+        for row in doc["rows"]
+    ]
+
+
+def _compare_doc(report: CompareReport) -> dict:
+    return {
+        "meta": {"scenario": report.scenario},
+        "categories": [
+            {"category": d.category.value, **_pick(d, _CATEGORY)} for d in report.categories
+        ],
+        "regressions": [d.category.value for d in report.regressions],
+        "sites": [{"site": _site_dict(s.site), **_pick(s, _SITE_DELTA)} for s in report.sites],
+    }
+
+
+def _compare_data(doc: dict) -> CompareReport:
+    categories = [
+        CategoryDelta(category=TimeCategory(c["category"]), **_parse(c, _CATEGORY))
+        for c in doc["categories"]
+    ]
+    regression_names = set(doc.get("regressions", []))
+    return CompareReport(
+        scenario=doc.get("meta", {}).get("scenario", "-"),
+        categories=categories,
+        sites=[
+            SiteDelta(site=_site_from(s["site"]), **_parse(s, _SITE_DELTA))
+            for s in doc.get("sites", [])
+        ],
+        regressions=[c for c in categories if c.category.value in regression_names],
+    )
+
+
+@dataclass(frozen=True)
+class _Schema:
+    to_doc: Callable[[Any], dict]
+    from_doc: Callable[[dict], Any]
+    csv_rows: str  # the document list that holds the CSV rows
+    csv_paths: Tuple[str, ...]  # one dotted path per CSV column
+    csv_lossless: bool = True  # the CSV holds every field that ``from_doc`` reads
+
+
+_SCHEMAS: Dict[ReportKind, _Schema] = {
+    ReportKind.FUNCTION_TABLE: _Schema(
+        _function_doc, _function_data, "rows", (*_SITE_PATHS, "site.kind", "tag", *_STATS)
+    ),
+    ReportKind.LINE_TABLE: _Schema(
+        _region_doc, _region_data, "rows",
+        ("meta.scope.file", "meta.scope.line", "meta.scope.symbol", "meta.scope_time_ns",
+         *_SITE_PATHS, *_REGION, "pct_time"),
+    ),
+    ReportKind.THREAD_TABLE: _Schema(
+        _thread_doc, _thread_data, "rows", ("thread", *_SITE_PATHS, "site.kind", *_THREAD)
+    ),
+    ReportKind.COARSE_TABLE: _Schema(_coarse_doc, _coarse_data, "rows", ("entity", *_COARSE)),
+    ReportKind.HOTSPOT_REPORT: _Schema(
+        _hotspot_doc, _hotspot_data, "rows",
+        ("category", "share_pct", *_SITE_PATHS, "recommendation"), csv_lossless=False,
+    ),
+    ReportKind.COMPARE_REPORT: _Schema(
+        _compare_doc, _compare_data, "categories", ("category", *_CATEGORY), csv_lossless=False
+    ),
+}
+
+
+def _csv_header(path: str) -> str:
+    return "_".join(step for step in path.split(".") if step not in ("meta", "site"))
+
+
+def _get(row: dict, path: str):
+    value = row
+    for step in path.split("."):
+        if value is None:  # a hotspot finding without a site
+            return None
+        value = value[step]
+    return value
+
+
+def _put(row: dict, path: str, value: str) -> None:
+    *parents, last = path.split(".")
+    for step in parents:
+        row = row.setdefault(step, {})
+    row[last] = value
+
+
+def _malformed(exc: Exception) -> ExportFormatError:
+    return ExportFormatError(f"malformed export: {type(exc).__name__}: {exc}")
+
+
+def export_csv(data, kind: ReportKind) -> str:
+    schema = _SCHEMAS[kind]
+    doc = schema.to_doc(data)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([_csv_header(p) for p in schema.csv_paths])
+    for row in doc[schema.csv_rows]:
+        row = dict(row, meta=doc.get("meta"))
+        writer.writerow([_get(row, p) for p in schema.csv_paths])
+    return out.getvalue()
+
+
+def import_csv(text: str, kind: ReportKind):
+    """Read back the CSV export of a kind whose CSV holds all of its fields:
+    the function, line, thread and coarse tables."""
+    schema = _SCHEMAS[kind]
+    if not schema.csv_lossless:
+        raise ExportFormatError(f"{kind.value} csv leaves fields out; read the structured export")
+    doc: dict = {schema.csv_rows: []}
+    try:
+        for line in csv.DictReader(io.StringIO(text)):
+            row: dict = {}
+            for path in schema.csv_paths:
+                _put(row, path, line[_csv_header(path)])
+            doc["meta"] = row.pop("meta", {})
+            doc[schema.csv_rows].append(row)
+        return schema.from_doc(doc)
+    except _MALFORMED as exc:
+        raise _malformed(exc) from None
+
+
+def export_json(data, kind: ReportKind) -> str:
+    doc = {"format": EXPORT_FORMAT, "version": EXPORT_VERSION, "kind": kind.value}
+    doc.update(_SCHEMAS[kind].to_doc(data))
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def import_json(text: str):
     """Read a structured export; returns ``(kind, data)``."""
-    doc = json.loads(text)
-    if doc.get("format") != EXPORT_FORMAT:
-        raise ExportFormatError("not a planeprof export")
-    if doc.get("version") != EXPORT_VERSION:
-        raise ExportFormatError(f"unsupported export version {doc.get('version')}")
-    kind = ReportKind(doc["kind"])
-    if kind is ReportKind.FUNCTION_TABLE:
-        meta = doc.get("meta", {})
-        profile = FunctionProfile(
-            run_id=meta.get("run_id", "-"),
-            scenario=meta.get("scenario", "-"),
-            scale_factor=float(meta.get("scale_factor", 1.0)),
-            sources=tuple(meta.get("sources", ())),
-            wall_span_ns=int(meta.get("wall_span_ns", 0)),
-        )
-        for row in doc["rows"]:
-            site = _site_from(row["site"])
-            profile.rows[site] = FunctionStats(
-                site=site,
-                ncalls_total=int(row["ncalls_total"]),
-                ncalls_primitive=int(row["ncalls_primitive"]),
-                tottime_ns=int(row["tottime_ns"]),
-                cumtime_ns=int(row["cumtime_ns"]),
-                tag=row.get("tag"),
-            )
-        return kind, profile
-    if kind is ReportKind.LINE_TABLE:
-        meta = doc["meta"]
-        profile = RegionProfile(
-            scope=_site_from(meta["scope"]), scope_time_ns=int(meta["scope_time_ns"])
-        )
-        for row in doc["rows"]:
-            site = _site_from(row["site"])
-            profile.rows[site] = RegionStats(
-                site=site,
-                hits=int(row["hits"]),
-                time_ns=int(row["time_ns"]),
-                pct_time=float(row["pct_time"]),
-            )
-        return kind, profile
-    if kind is ReportKind.THREAD_TABLE:
-        return kind, [
-            ThreadStats(
-                name=row["thread"],
-                site=_site_from(row["site"]),
-                ncall=int(row["ncall"]),
-                tsub_ns=int(row["tsub_ns"]),
-                ttot_ns=int(row["ttot_ns"]),
-            )
-            for row in doc["rows"]
-        ]
-    if kind is ReportKind.COARSE_TABLE:
-        return kind, {
-            row["entity"]: CoarseBreakdown(
-                elapsed_s=float(row["elapsed_s"]),
-                user_s=float(row["user_s"]),
-                system_s=float(row["system_s"]),
-            )
-            for row in doc["rows"]
-        }
-    if kind is ReportKind.HOTSPOT_REPORT:
-        findings = []
-        for row in doc["rows"]:
-            evidence = tuple(
-                FunctionStats(
-                    site=_site_from(e["site"]),
-                    ncalls_total=int(e["ncalls_total"]),
-                    ncalls_primitive=int(e.get("ncalls_primitive", e["ncalls_total"])),
-                    tottime_ns=int(e["tottime_ns"]),
-                    cumtime_ns=int(e["cumtime_ns"]),
-                )
-                for e in row.get("evidence", [])
-            )
-            findings.append(
-                HotspotFinding(
-                    category=TimeCategory(row["category"]),
-                    site=_site_from(row["site"]) if row.get("site") else None,
-                    share_pct=float(row["share_pct"]),
-                    evidence=evidence,
-                    recommendation=row["recommendation"],
-                )
-            )
-        return kind, findings
-    if kind is ReportKind.COMPARE_REPORT:
-        categories = [
-            CategoryDelta(
-                category=TimeCategory(c["category"]),
-                before_ns=int(c["before_ns"]),
-                after_ns=int(c["after_ns"]),
-            )
-            for c in doc["categories"]
-        ]
-        regression_names = set(doc.get("regressions", []))
-        report = CompareReport(
-            scenario=doc.get("meta", {}).get("scenario", "-"),
-            categories=categories,
-            sites=[
-                SiteDelta(
-                    site=_site_from(s["site"]),
-                    ncalls_before=int(s["ncalls_before"]),
-                    ncalls_after=int(s["ncalls_after"]),
-                    tottime_before_ns=int(s["tottime_before_ns"]),
-                    tottime_after_ns=int(s["tottime_after_ns"]),
-                )
-                for s in doc.get("sites", [])
-            ],
-            regressions=[c for c in categories if c.category.value in regression_names],
-        )
-        return kind, report
-    raise ExportFormatError(f"unsupported kind {kind}")
+    try:
+        doc = json.loads(text)
+        if doc.get("format") != EXPORT_FORMAT:
+            raise ExportFormatError("not a planeprof export")
+        if doc.get("version") != EXPORT_VERSION:
+            raise ExportFormatError(f"unsupported export version {doc.get('version')}")
+        kind = ReportKind(doc["kind"])
+        return kind, _SCHEMAS[kind].from_doc(doc)
+    except _MALFORMED as exc:
+        raise _malformed(exc) from None
 
 
 def write_export(data, kind: ReportKind, path: Path | str) -> Path:

@@ -37,7 +37,7 @@ from test_reporting import (
     golden_region_profile,
     golden_thread_rows,
 )
-from planeprof.reporting.exports import export_csv, import_function_csv
+from planeprof.reporting.exports import export_csv, import_csv
 from planeprof.reporting.tables import ReportKind, ReportSpec, render
 
 
@@ -287,6 +287,6 @@ class TestAcceptance:
         out = render(golden_thread_rows(), ReportSpec(kind=ReportKind.THREAD_TABLE))
         assert out == (GOLDENS / "thread_table.txt").read_text()
         csv_text = export_csv(profile, ReportKind.FUNCTION_TABLE)
-        assert import_function_csv(csv_text).rows == profile.rows
+        assert import_csv(csv_text, ReportKind.FUNCTION_TABLE).rows == profile.rows
         ok(8, "function/line/thread tables match stored goldens byte-for-byte; "
               "csv round-trip reproduces every stat field exactly")

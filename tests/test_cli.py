@@ -37,7 +37,8 @@ from planeprof.model.aggregate import (
     profile_from_path,
     walk_stream,
 )
-from planeprof.reporting.exports import import_function_csv
+from planeprof.reporting.exports import import_csv
+from planeprof.reporting.tables import ReportKind
 from planeprof.testbed.config import ScenarioConfig, write_scenario
 from planeprof.testbed.entity import EntityConfig
 
@@ -531,7 +532,7 @@ class TestReport:
              "--format", "csv", "--out", str(out)]
         )
         assert code == EXIT_OK
-        profile = import_function_csv(out.read_text())
+        profile = import_csv(out.read_text(), ReportKind.FUNCTION_TABLE)
         assert profile.rows  # parses back into stats
 
     def test_line_table_needs_scope(self, run_dir, tmp_path):
@@ -574,6 +575,25 @@ class TestReport:
              "--out", str(direct)]
         )
         assert rendered.read_text() == direct.read_text()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"format": "x"}',
+            b"function_table\tnot json\n",
+            b'{"format": "planeprof-export", "version": 1, "kind": "function_table"}',
+            b'{"format": "planeprof-export", "version": 1, "kind": "nope", "rows": []}',
+            b"\xff\xfe not utf-8",
+        ],
+        ids=["format", "not-json", "no-rows", "kind", "not-utf8"],
+    )
+    def test_malformed_export_is_config_error(self, tmp_path, capsys, data):
+        export = tmp_path / "bad.json"
+        export.write_bytes(data)
+        code = main(["report", "--export", str(export), "--out", str(tmp_path / "t.txt")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {export}: ")
 
 
 class TestCompare:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from helpers import stream
-from planeprof.analysis.hotspots import compare, find_hotspots
+from planeprof.analysis.categories import TimeCategory
+from planeprof.analysis.hotspots import RECOMMENDATIONS, HotspotFinding, compare, find_hotspots
 from planeprof.instrument.dumpio import DumpMeta, write_dump
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
@@ -20,12 +22,11 @@ from planeprof.model.stats import (
     ThreadStats,
 )
 from planeprof.reporting.exports import (
+    ExportFormatError,
     export_csv,
     export_json,
-    import_function_csv,
+    import_csv,
     import_json,
-    import_region_csv,
-    import_thread_csv,
 )
 from planeprof.reporting.summary import render_summary, write_dump_index
 from planeprof.reporting.tables import (
@@ -87,6 +88,43 @@ def golden_thread_rows() -> list[ThreadStats]:
         ThreadStats("102", fsite("testbed/entity.py", 26, "client_host_main"),
                     1, 372_231_000, 983_090_000),
     ]
+
+
+def golden_changed_profile() -> FunctionProfile:
+    """The golden profile after a change that polls more and sleeps longer."""
+    profile = golden_function_profile()
+    poll = fsite("testbed/entity.py", 10, "poll_wait", SiteKind.REGION)
+    sleep = fsite("testbed/orchestrator.py", 90, "sleep", SiteKind.REGION)
+    profile.rows[poll] = FunctionStats(poll, 120_004, 120_004, 64_511 * MS, 64_511 * MS, "poll")
+    profile.rows[sleep] = FunctionStats(sleep, 4, 4, 20_013 * MS, 20_013 * MS, "sleep")
+    return profile
+
+
+def golden_findings() -> list[HotspotFinding]:
+    """Ranked findings plus one without a dominant site."""
+    return find_hotspots(golden_function_profile(), 5.0) + [
+        HotspotFinding(TimeCategory.OTHER, None, 0.25, (), RECOMMENDATIONS[TimeCategory.OTHER])
+    ]
+
+
+# the kinds whose csv holds every field, so import_csv reads them back
+CSV_KINDS = [
+    ReportKind.FUNCTION_TABLE,
+    ReportKind.LINE_TABLE,
+    ReportKind.THREAD_TABLE,
+    ReportKind.COARSE_TABLE,
+]
+GOLDEN_DATA = {
+    ReportKind.FUNCTION_TABLE: golden_function_profile,
+    ReportKind.LINE_TABLE: golden_region_profile,
+    ReportKind.THREAD_TABLE: golden_thread_rows,
+    ReportKind.COARSE_TABLE: lambda: {
+        "gc": CoarseBreakdown(44.15, 0.64, 1.05),
+        "client-1": CoarseBreakdown(1.0318, 0.046, 0.0139),
+    },
+    ReportKind.HOTSPOT_REPORT: golden_findings,
+    ReportKind.COMPARE_REPORT: lambda: compare(golden_function_profile(), golden_changed_profile()),
+}
 
 
 class TestGoldens:
@@ -186,27 +224,36 @@ class TestRenderRules:
 
 
 class TestExports:
-    def test_function_csv_roundtrip_exact(self):
-        profile = golden_function_profile()
-        text = export_csv(profile, ReportKind.FUNCTION_TABLE)
-        back = import_function_csv(text)
-        assert back.rows == profile.rows
+    @pytest.mark.parametrize("kind", list(ReportKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_export_matches_golden(self, kind, suffix):
+        export = export_csv if suffix == "csv" else export_json
+        golden = GOLDENS / "exports" / f"{kind.value}.{suffix}"
+        assert export(GOLDEN_DATA[kind](), kind) == golden.read_text(encoding="utf-8")
 
-    def test_region_csv_roundtrip_exact(self):
-        profile = golden_region_profile()
-        text = export_csv(profile, ReportKind.LINE_TABLE)
-        back = import_region_csv(text)
-        assert back.rows == profile.rows
-        assert back.scope == profile.scope
-        assert back.scope_time_ns == profile.scope_time_ns
+    @pytest.mark.parametrize("kind", CSV_KINDS, ids=lambda k: k.value)
+    def test_csv_roundtrip_exact(self, kind):
+        data = GOLDEN_DATA[kind]()
+        text = export_csv(data, kind)
+        back = import_csv(text, kind)
+        assert export_csv(back, kind) == text
+        # every field the csv holds comes back with its value and type
+        before, after = (json.loads(export_json(d, kind)) for d in (data, back))
+        assert after["rows"] == before["rows"]
+        if kind is ReportKind.LINE_TABLE:
+            assert after["meta"] == before["meta"]
 
-    def test_thread_csv_roundtrip_exact(self):
-        rows = golden_thread_rows()
-        text = export_csv(rows, ReportKind.THREAD_TABLE)
-        back = import_thread_csv(text)
-        assert sorted(back, key=lambda r: (r.name, r.site.label())) == sorted(
-            rows, key=lambda r: (r.name, r.site.label())
-        )
+    @pytest.mark.parametrize(
+        "kind", [ReportKind.HOTSPOT_REPORT, ReportKind.COMPARE_REPORT], ids=lambda k: k.value
+    )
+    def test_csv_without_every_field_is_not_imported(self, kind):
+        with pytest.raises(ExportFormatError):
+            import_csv(export_csv(GOLDEN_DATA[kind](), kind), kind)
+
+    def test_csv_of_another_kind_is_not_imported(self):
+        text = export_csv(golden_thread_rows(), ReportKind.THREAD_TABLE)
+        with pytest.raises(ExportFormatError):
+            import_csv(text, ReportKind.FUNCTION_TABLE)
 
     def test_structured_roundtrip_renders_byte_identical(self):
         profile = golden_function_profile()
@@ -219,20 +266,16 @@ class TestExports:
         assert export_json(back, ReportKind.FUNCTION_TABLE) == doc
 
     def test_structured_roundtrip_other_kinds(self):
-        region = golden_region_profile()
-        kind, back = import_json(export_json(region, ReportKind.LINE_TABLE))
-        spec = ReportSpec(kind=ReportKind.LINE_TABLE)
-        assert render(back, spec) == render(region, spec)
-
-        threads = golden_thread_rows()
-        kind, back = import_json(export_json(threads, ReportKind.THREAD_TABLE))
-        spec = ReportSpec(kind=ReportKind.THREAD_TABLE)
-        assert render(back, spec) == render(threads, spec)
-
-        findings = find_hotspots(golden_function_profile(), 5.0)
-        kind, back = import_json(export_json(findings, ReportKind.HOTSPOT_REPORT))
-        spec = ReportSpec(kind=ReportKind.HOTSPOT_REPORT)
-        assert render(back, spec) == render(findings, spec)
+        for kind in ReportKind:
+            if kind is ReportKind.FUNCTION_TABLE:
+                continue
+            data = GOLDEN_DATA[kind]()
+            doc = export_json(data, kind)
+            loaded, back = import_json(doc)
+            assert loaded is kind
+            assert export_json(back, kind) == doc
+            spec = ReportSpec(kind=kind)
+            assert render(back, spec) == render(data, spec)
 
     def test_csv_format_through_render(self):
         out = render(
