@@ -98,15 +98,6 @@ class SocketClosed(Exception):
     """The entity's sockets are gone; the loop cannot continue."""
 
 
-@dataclass(frozen=True)
-class LoopStats:
-    """What one stretch of the poll loop did."""
-
-    poll_invocations: int
-    messages_handled: int
-    wall_time_in_poll_s: float
-
-
 @dataclass
 class EntityConfig:
     name: str
@@ -272,9 +263,6 @@ class Entity:
         self._pending_names: List[Tuple[str, Optional[Addr]]] = []
         self._hb_due: Optional[float] = None
         self.rng = random.Random(cfg.seed)
-        self.poll_invocations = 0
-        self.messages_handled = 0
-        self.wall_in_poll_ns = 0
 
     # -- connections --------------------------------------------------------
 
@@ -329,17 +317,16 @@ class Entity:
 
     # -- poll loop -----------------------------------------------------------
 
-    def _pump(self, timeout_s: float) -> int:
+    def _pump(self, timeout_s: float) -> None:
         """One readiness wait plus message dispatch.
 
         The wait uses ``select`` rather than ``poll``: select keeps
         microsecond timeout granularity, which the paced loop in
-        :meth:`poll_loop` relies on to absorb kernel timer overshoot.
+        :meth:`run` relies on to absorb kernel timer overshoot.
         """
         if self._closed:
             raise SocketClosed(f"{self.name} is closed")
         rlist = [self._listen.fileno(), *self.conns]
-        t0 = time.monotonic_ns()
         self.rec.enter(SITE_POLL, tag=TAG_POLL)
         try:
             ready, _, _ = select.select(rlist, [], [], max(0.0, timeout_s))
@@ -347,9 +334,6 @@ class Entity:
             ready = []  # a peer closed mid-wait; next pass drops dead fds
         finally:
             self.rec.exit(SITE_POLL)
-        self.wall_in_poll_ns += time.monotonic_ns() - t0
-        self.poll_invocations += 1
-        handled = 0
         for fd in ready:
             if fd == self._listen.fileno():
                 self._accept_all()
@@ -371,11 +355,8 @@ class Entity:
                 try:
                     for msg in msgs:
                         self._dispatch(conn, msg)
-                        handled += 1
                 finally:
                     self.rec.exit(SITE_HANDLE)
-        self.messages_handled += handled
-        return handled
 
     def _accept_all(self) -> None:
         while True:
@@ -385,35 +366,6 @@ class Entity:
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._track(sock)
-
-    def poll_loop(self, duration_s: float, timeout_ms: Optional[float] = None) -> LoopStats:
-        """Run the message loop for a fixed window and report what it did.
-
-        The timeout is the polling period: waits are paced on a tick grid
-        anchored at the start, so kernel timer overshoot (hundreds of
-        microseconds per wait on a virtualized host) shortens the next
-        wait instead of accumulating. With no traffic the invocation
-        count therefore tracks ``duration / timeout``.
-        """
-        if timeout_ms is None:
-            timeout_ms = self.cfg.poll_timeout_ms
-        period_s = timeout_ms / 1000.0
-        inv0, msg0, ns0 = self.poll_invocations, self.messages_handled, self.wall_in_poll_ns
-        t0 = time.monotonic()
-        end = t0 + duration_s
-        k = 1
-        while True:
-            now = time.monotonic()
-            if now >= end or self._stop or self._killed:
-                break
-            due = t0 + k * period_s
-            self._pump(min(max(0.0, due - now), end - now))
-            k += 1
-        return LoopStats(
-            poll_invocations=self.poll_invocations - inv0,
-            messages_handled=self.messages_handled - msg0,
-            wall_time_in_poll_s=(self.wall_in_poll_ns - ns0) / 1e9,
-        )
 
     # -- protocol ------------------------------------------------------------
 
@@ -518,6 +470,17 @@ class Entity:
     # -- lifecycle -----------------------------------------------------------
 
     def run(self, duration_s: Optional[float] = None) -> None:
+        """Register, then poll until stopped, killed or ``duration_s`` is up.
+
+        The poll timeout is the loop's period: each wait ends on the next
+        tick of a grid anchored where the loop starts. A message that
+        ends a wait early leaves that tick in place; kernel timer
+        overshoot (hundreds of microseconds per wait on a virtualized
+        host) or a slow ``_tick`` shortens the next wait instead of
+        accumulating, and a tick that has already passed is polled at
+        once with a zero wait. With no traffic the poll count therefore
+        tracks ``duration / timeout``; each early wake adds one poll.
+        """
         main_site = _MAIN_SITES[self.role]
         self._timer = ProcessTimer("process" if self.cfg.own_process else "thread")
         sampler = None
@@ -531,13 +494,19 @@ class Entity:
             if self.cfg.manager_addr is not None:
                 self._register_with_manager()
             self.on_started()
-            end = None if duration_s is None else time.monotonic() + duration_s
+            period_s = self.cfg.poll_timeout_ms / 1000.0
+            t0 = time.monotonic()
+            end = None if duration_s is None else t0 + duration_s
+            due = t0 + period_s
             while not self._stop and not self._killed:
                 now = time.monotonic()
                 if end is not None and now >= end:
                     break
-                self._pump(self.cfg.poll_timeout_ms / 1000.0)
-                self._tick(time.monotonic())
+                self._pump((due if end is None else min(due, end)) - now)
+                now = time.monotonic()
+                if now >= due:
+                    due += period_s
+                self._tick(now)
         finally:
             self.rec.exit(main_site)
             if sampler is not None:
@@ -908,13 +877,10 @@ class ClientEntity(Entity):
             if now >= job.lookup_due:
                 job.phase = "lookup"
         elif job.phase == "sending":
-            while (
-                job.sent < job.total
-                and now >= job.t0 + job.sent / job.rate
-                and now <= job.t0 + job.duration
-            ):
+            # a late tick sends every request that has come due meanwhile
+            while job.sent < job.total and now >= job.t0 + job.sent / job.rate:
                 self._send_request(job)
-            if job.sent >= job.total or now > job.t0 + job.duration:
+            if job.sent >= job.total:
                 job.phase = "draining"
         elif job.phase == "draining":
             done = job.answered + job.errors >= job.sent

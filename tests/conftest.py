@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# pytest puts src/ on sys.path (pyproject's `pythonpath`); child interpreters
+# the tests start (process-mode entities, import probes) need it too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 from planeprof.instrument.recorder import ClockCalibration, Recorder, calibrate_clocks
 from planeprof.testbed.config import ScenarioConfig

@@ -20,7 +20,15 @@ from planeprof.instrument.recorder import ClockCalibration, Recorder
 from planeprof.model.aggregate import aggregate_functions, profile_from_dump
 from planeprof.model.merge import merge_profiles
 from planeprof.testbed.config import NodeRole
-from planeprof.testbed.entity import Entity, EntityConfig, SITE_POLL, build_entity
+from planeprof.testbed.entity import (
+    SITE_HANDLE,
+    SITE_POLL,
+    ClientEntity,
+    Entity,
+    EntityConfig,
+    _LoadJob,
+    build_entity,
+)
 from planeprof.testbed.orchestrator import (
     BootstrapPhase,
     BootstrapTimeout,
@@ -38,8 +46,8 @@ from planeprof.testbed.orchestrator import (
 def topo(request):
     topologies = []
 
-    def factory(**overrides):
-        t = bootstrap(fast_scenario(**overrides))
+    def factory(run_dir=None, **overrides):
+        t = bootstrap(fast_scenario(**overrides), run_dir=run_dir)
         topologies.append(t)
         return t
 
@@ -48,7 +56,7 @@ def topo(request):
         t.shutdown(grace_s=3.0)
 
 
-def standalone_entity(poll_timeout_ms=1.0) -> Entity:
+def standalone_entity(poll_timeout_ms=1.0, cls=Entity) -> Entity:
     cfg = EntityConfig(
         name="idle-probe",
         role=NodeRole.HOST_NODE,
@@ -56,7 +64,18 @@ def standalone_entity(poll_timeout_ms=1.0) -> Entity:
         poll_timeout_ms=poll_timeout_ms,
         levels=("function",),
     )
-    return Entity(cfg)
+    return cls(cfg)
+
+
+def assert_polls_track_loop_time(dump_paths, poll_timeout_ms):
+    """Criterion 3 on a real run, per dump: ``poll_wait`` calls are within
+    ±25% of the ``*_main`` loop time over the poll period."""
+    for path in dump_paths:
+        rows = profile_from_dump(read_dump(path)).rows
+        loop_ns = sum(r.cumtime_ns for s, r in rows.items() if s.symbol.endswith("_main"))
+        polls = sum(r.ncalls_total for s, r in rows.items() if s.symbol == "poll_wait")
+        expected = loop_ns / (poll_timeout_ms * 1e6)
+        assert abs(polls - expected) <= 0.25 * expected, (path.stem, polls, expected)
 
 
 class TestBootstrap:
@@ -139,35 +158,26 @@ class TestBootstrap:
 
 class TestPollLoop:
     def test_idle_invocation_arithmetic(self):
-        entity = standalone_entity()
-        try:
-            stats = entity.poll_loop(2.0, timeout_ms=100.0)
-        finally:
-            entity._close_all()
+        entity = standalone_entity(poll_timeout_ms=100.0)
+        entity.run(2.0)
+        rows = aggregate_functions(entity.rec.events()).rows
         expected = 2.0 / 0.1
-        assert abs(stats.poll_invocations - expected) <= 0.25 * expected
-        assert stats.messages_handled == 0
+        assert abs(rows[SITE_POLL].ncalls_total - expected) <= 0.25 * expected
+        assert SITE_HANDLE not in rows
 
     def test_zero_duration(self):
         entity = standalone_entity()
-        try:
-            stats = entity.poll_loop(0.0)
-        finally:
-            entity._close_all()
-        assert stats.poll_invocations == 0
-        assert stats.wall_time_in_poll_s == 0.0
+        entity.run(0.0)
+        assert SITE_POLL not in aggregate_functions(entity.rec.events()).rows
 
     def test_idle_loop_wall_time_dominated_by_poll(self):
         entity = standalone_entity(poll_timeout_ms=1.0)
-        try:
-            t0 = time.monotonic()
-            stats = entity.poll_loop(1.0)
-            span = time.monotonic() - t0
-        finally:
-            entity._close_all()
-        assert stats.wall_time_in_poll_s >= 0.7 * span
-        profile = aggregate_functions(entity.rec.events())
-        assert profile.rows[SITE_POLL].tag == "poll"
+        t0 = time.monotonic()
+        entity.run(1.0)
+        span = time.monotonic() - t0
+        poll = aggregate_functions(entity.rec.events()).rows[SITE_POLL]
+        assert poll.tottime_ns >= 0.7 * span * 1e9
+        assert poll.tag == "poll"
 
     def test_closed_entity_raises_socket_closed(self):
         from planeprof.testbed.entity import SocketClosed
@@ -175,7 +185,23 @@ class TestPollLoop:
         entity = standalone_entity()
         entity._close_all()
         with pytest.raises(SocketClosed):
-            entity.poll_loop(0.1)
+            entity.run(0.1)
+
+    def test_stalled_tick_is_caught_up(self):
+        class StallOnce(Entity):
+            stalled = False
+
+            def role_tick(self, now):
+                if not self.stalled:
+                    self.stalled = True
+                    time.sleep(0.3)
+
+        entity = standalone_entity(poll_timeout_ms=5.0, cls=StallOnce)
+        entity.run(1.0)
+        assert entity.stalled
+        polls = aggregate_functions(entity.rec.events()).rows[SITE_POLL].ncalls_total
+        expected = 1.0 / 0.005
+        assert abs(polls - expected) <= 0.25 * expected
 
 
 class TestRegistration:
@@ -312,14 +338,38 @@ class TestLiveness:
 
 
 class TestClientLoad:
-    def test_rate_times_duration(self, topo):
-        t = topo(client_users=50, client_request_rate=40.0)
+    def test_rate_times_duration(self, topo, tmp_path):
+        t = topo(run_dir=tmp_path, client_users=50, client_request_rate=40.0)
         report = t.client_load(users=50, rate_rps=40.0, duration_s=1.0)
         assert abs(report.sent - 40) <= 4  # rate x duration within 10%
         assert report.answered == report.sent
         assert report.errors == 0
         assert report.scale_factor == t.config.scale_factor
         assert report.latency_quantiles_s["p50"] >= 0.0
+        t.shutdown(grace_s=3.0)
+        assert len(t.dump_paths) == len(t.handles) + 1
+        assert_polls_track_loop_time(t.dump_paths, t.config.poll_timeout_ms)
+
+    def test_late_tick_sends_every_due_request(self):
+        # the peer only has to accept: requests sit in its backlog unread
+        sink = socket.socket()
+        sink.bind(("127.0.0.1", 0))
+        sink.listen(1)
+        client = ClientEntity(EntityConfig(name="client-1", role=NodeRole.CLIENT_HOST))
+        try:
+            job = _LoadJob("job-1", users=10, rate=50.0, duration=1.0)
+            job.instances = [("workflow/wm-z1w1/i1", sink.getsockname())]
+            job.phase = "sending"
+            job.t0 = 100.0
+            client._job = job
+            client.role_tick(100.5)
+            assert job.sent == 26
+            client.role_tick(101.4)  # the loop stalled past the end of the window
+            assert job.sent == job.total == 50
+            assert job.phase == "draining"
+        finally:
+            client._close_all()
+            sink.close()
 
     def test_zero_users(self, topo):
         t = topo()
@@ -414,6 +464,7 @@ class TestProcessMode:
             if s.symbol == "poll_wait"
         )
         assert poll_ns >= 0.7 * entity_profile.wall_span_ns
+        assert_polls_track_loop_time(t.dump_paths, cfg.poll_timeout_ms)
         # killed-entity semantics do not apply here: clean shutdown wrote
         # a coarse footer into every dump
         assert all(d.coarse is not None for d in dumps)
