@@ -108,8 +108,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         levels = _parse_levels(args.levels)
         out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
         out.mkdir(parents=True, exist_ok=True)
-        for stale in (out / "dumps").glob("*.dump"):
-            stale.unlink()  # a rerun must not mix with a previous run's dumps
+        # a rerun must not mix with a previous run's dumps, whole or unfinished
+        dumps = out / "dumps"
+        for stale in [*dumps.glob("*.dump"), *dumps.glob("*.dump.part")]:
+            stale.unlink()
         recorder = Recorder(enabled=bool(EVENT_LEVELS & set(levels)))
         run_id = f"{config.scenario_id}-seed{config.seed}"
         topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)

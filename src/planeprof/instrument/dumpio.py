@@ -45,10 +45,19 @@ All times are integer nanoseconds except the coarse footer, which keeps
 the float seconds the OS reported. The coarse line is optional. The
 footer lines have bounded length, so :func:`read_dump_info` reads the
 header and the last few kilobytes and never the event lines.
-:func:`_format_records` is the one formatter of the event lines and
-:class:`DumpStream` their one parser: it yields them as record tuples
-with absolute clocks while it reads, and :func:`read_dump` materializes
-them.
+
+:class:`DumpWriter` is the one writer and formatter of dumps. A profiled
+process opens it when its run starts, which creates ``<name>.dump.part``
+and writes the header, hands it each batch of records its recorder
+drains during the run, and closes it at shutdown: the ``V`` lines and
+the footer go in, and the file is renamed to ``<name>.dump``. A process
+killed before then leaves the ``.part`` file, which no reader opens.
+:func:`write_records` writes a whole dump in one batch. A one-thread
+dump does not depend on how its records are cut into batches; where
+threads interleave, the cuts can move ``T`` lines, never a thread's own
+records. :class:`DumpStream` is the one parser: it yields the event
+lines as record tuples with absolute clocks while it reads, and
+:func:`read_dump` materializes them.
 """
 
 from __future__ import annotations
@@ -137,64 +146,140 @@ def _parse_frame(text: str) -> CodeSite:
     return CodeSite(file=file, line=int(line), symbol=symbol, kind=SiteKind.FUNCTION)
 
 
-def _format_records(records: Records, lines: List[str]) -> int:
-    """Append the event lines of ``records`` to ``lines``; return how many
-    records they hold.
+class DumpWriter:
+    """One dump written while its records arrive, batch by batch.
 
-    This is the only place event lines are formatted. An enter or exit
-    opens its thread's block with a ``T`` line unless that block is the
-    open one, carries its clocks as deltas from its thread's previous
-    enter or exit, and gets a ``site`` line for its (site, tag) pair
-    before the pair's first use. Pairs with equal text share one number,
-    and the lines depend only on the order of the records, so a dump read
-    back and written again is byte-identical. A sample without a stack is
-    skipped: the recorder never keeps one and a reader could not rebuild
-    it.
+    Opening creates ``<path>.part`` and writes the header; :meth:`write`
+    appends one batch of records; :meth:`close` writes the ``V`` lines and
+    the footer and renames the file to ``<path>``. So a dump exists under
+    its name only once it is whole, and a process that dies before
+    :meth:`close` leaves only the ``.part`` file. The site numbers, each
+    thread's clocks and the open ``T`` block carry over from one batch to
+    the next, so one thread's records give the same bytes however they
+    are split into batches. The writer is not thread-safe: one thread at
+    a time writes a batch.
     """
-    # Keyed by id(): every site stays referenced by a record for the whole
-    # call, so no id is reused, and id() is far cheaper than hashing a
-    # dataclass. Sampled frames are fresh objects each time, so they are
-    # not cached.
-    numbers: Dict[Tuple[int, Optional[str]], str] = {}  # (id(site), tag) -> number
-    by_text: Dict[str, str] = {}  # site and tag text -> number
-    clocks: Dict[int, Tuple[int, int]] = {}  # thread -> last (wall, cpu), block closed
-    append = lines.append
-    start = len(lines)
-    blocks = 0
-    block = None
-    wall = cpu = 0  # the open block's last clocks
-    for thread, recs in records:
-        for rec in recs:
-            code = rec[0]
-            if code == "S":
-                stack = rec[6]
-                if stack:
-                    frames = "|".join([_frame_str(s) for s in stack])
-                    append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
-                continue
-            if thread != block:
-                clocks[block] = (wall, cpu)
-                block = thread
-                wall, cpu = clocks.get(thread, (0, 0))
-                blocks += 1
-                append(f"T\t{thread}")
-            site = rec[1]
-            tag = rec[4]
-            number = numbers.get((id(site), tag))
-            if number is None:
-                text = (
-                    f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
-                    f"\t{_KIND_CODE[site.kind]}\t{_clean(tag) if tag else '-'}"
-                )
-                number = by_text.get(text)
+
+    def __init__(self, path: Path | str, meta: DumpMeta, calibration: ClockCalibration) -> None:
+        self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._events = 0  # E, X and S records written so far
+        # (id(site), tag) -> number; keyed by id() as hashing a dataclass is
+        # far dearer. Written records no longer hold their sites, so
+        # ``_sites`` keeps every numbered site alive: a freed site's id could
+        # otherwise be reused by another site and get its number.
+        self._numbers: Dict[Tuple[int, Optional[str]], str] = {}
+        self._sites: List[CodeSite] = []
+        self._by_text: Dict[str, str] = {}  # site and tag text -> number
+        self._clocks: Dict[int, Tuple[int, int]] = {}  # thread -> last (wall, cpu), block closed
+        self._block: Optional[int] = None  # the open block's thread
+        self._wall = self._cpu = 0  # the open block's last clocks
+        self._file = self._part.open("w", encoding="utf-8")
+        self._file.write(
+            f"{FORMAT_LINE}\n"
+            f"run_id {meta.run_id}\n"
+            f"entity {meta.entity}\n"
+            f"role {meta.role}\n"
+            f"pid {meta.pid}\n"
+            f"scenario {meta.scenario}\n"
+            f"seed {meta.seed}\n"
+            f"levels {','.join(meta.levels)}\n"
+            f"scale_factor {meta.scale_factor!r}\n"
+            f"wall_cost_ns {calibration.wall_cost_ns}\n"
+            f"cpu_cost_ns {calibration.cpu_cost_ns}\n"
+            f"cpu_refresh_wall_ns {calibration.cpu_refresh_wall_ns}\n"
+            f"pair_overhead_ns {calibration.pair_overhead_ns}\n"
+            "end_header\n"
+        )
+
+    def write(self, records: Records) -> None:
+        """Append the event lines of one batch.
+
+        This is the only place event lines are formatted. An enter or exit
+        opens its thread's block with a ``T`` line unless that block is the
+        open one, carries its clocks as deltas from its thread's previous
+        enter or exit, and gets a ``site`` line for its (site, tag) pair
+        before the pair's first use. Pairs with equal text share one
+        number, and the lines depend only on the order of the records, so a
+        dump read back and written again is byte-identical. A sample without
+        a stack is skipped: the recorder never keeps one and a reader could
+        not rebuild it.
+        """
+        numbers = self._numbers
+        by_text = self._by_text
+        clocks = self._clocks
+        lines: List[str] = []
+        append = lines.append
+        sites_before = len(by_text)
+        blocks = 0
+        block = self._block
+        wall = self._wall
+        cpu = self._cpu
+        for thread, recs in records:
+            for rec in recs:
+                code = rec[0]
+                if code == "S":
+                    stack = rec[6]
+                    if stack:
+                        frames = "|".join([_frame_str(s) for s in stack])
+                        append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
+                    continue
+                if thread != block:
+                    clocks[block] = (wall, cpu)
+                    block = thread
+                    wall, cpu = clocks.get(thread, (0, 0))
+                    blocks += 1
+                    append(f"T\t{thread}")
+                site = rec[1]
+                tag = rec[4]
+                number = numbers.get((id(site), tag))
                 if number is None:
-                    number = by_text[text] = str(len(by_text))
-                    append(f"site\t{number}\t{text}")
-                numbers[id(site), tag] = number
-            append(f"{code}\t{rec[2] - wall}\t{rec[3] - cpu}\t{number}")
-            wall = rec[2]
-            cpu = rec[3]
-    return len(lines) - start - blocks - len(by_text)
+                    text = (
+                        f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
+                        f"\t{_KIND_CODE[site.kind]}\t{_clean(tag) if tag else '-'}"
+                    )
+                    number = by_text.get(text)
+                    if number is None:
+                        number = by_text[text] = str(len(by_text))
+                        append(f"site\t{number}\t{text}")
+                    numbers[id(site), tag] = number
+                    self._sites.append(site)
+                append(f"{code}\t{rec[2] - wall}\t{rec[3] - cpu}\t{number}")
+                wall = rec[2]
+                cpu = rec[3]
+        self._block = block
+        self._wall = wall
+        self._cpu = cpu
+        self._events += len(lines) - blocks - (len(by_text) - sites_before)
+        if lines:
+            lines.append("")
+            self._file.write("\n".join(lines))
+
+    def close(
+        self,
+        violations: Sequence[NestingViolation] = (),
+        coarse: Optional[CoarseBreakdown] = None,
+    ) -> Path:
+        """Write the ``V`` lines and the footer, then give the file its name."""
+        lines = [
+            f"V\t{v.thread_id}\t{v.wall_ns}\t{_clean(v.site.file)}\t{v.site.line}"
+            f"\t{_clean(v.site.symbol)}\t{_KIND_CODE[v.site.kind]}\t{_clean(v.detail)}"
+            for v in violations
+        ]
+        lines.append("end_events")
+        lines.append(f"counts\t{self._events}\t{len(violations)}")
+        if coarse is not None:
+            lines.append(f"coarse\t{coarse.elapsed_s!r}\t{coarse.user_s!r}\t{coarse.system_s!r}")
+        lines.append("end_dump\n")
+        with self._file:
+            self._file.write("\n".join(lines))
+        os.replace(self._part, self.path)
+        return self.path
+
+    def discard(self) -> None:
+        """Close the file and delete it: the dump will not be finished."""
+        self._file.close()
+        self._part.unlink(missing_ok=True)
 
 
 def records_of(
@@ -238,34 +323,9 @@ def write_records(
     coarse: Optional[CoarseBreakdown] = None,
 ) -> Path:
     """Write a dump straight from a recorder's buffers (:meth:`Recorder.records`)."""
-    path = Path(path)
-    lines: List[str] = [FORMAT_LINE]
-    lines.append(f"run_id {meta.run_id}")
-    lines.append(f"entity {meta.entity}")
-    lines.append(f"role {meta.role}")
-    lines.append(f"pid {meta.pid}")
-    lines.append(f"scenario {meta.scenario}")
-    lines.append(f"seed {meta.seed}")
-    lines.append(f"levels {','.join(meta.levels)}")
-    lines.append(f"scale_factor {meta.scale_factor!r}")
-    lines.append(f"wall_cost_ns {calibration.wall_cost_ns}")
-    lines.append(f"cpu_cost_ns {calibration.cpu_cost_ns}")
-    lines.append(f"cpu_refresh_wall_ns {calibration.cpu_refresh_wall_ns}")
-    lines.append(f"pair_overhead_ns {calibration.pair_overhead_ns}")
-    lines.append("end_header")
-    events = _format_records(records, lines)
-    for v in violations:
-        lines.append(
-            f"V\t{v.thread_id}\t{v.wall_ns}\t{_clean(v.site.file)}\t{v.site.line}"
-            f"\t{_clean(v.site.symbol)}\t{_KIND_CODE[v.site.kind]}\t{_clean(v.detail)}"
-        )
-    lines.append("end_events")
-    lines.append(f"counts\t{events}\t{len(violations)}")
-    if coarse is not None:
-        lines.append(f"coarse\t{coarse.elapsed_s!r}\t{coarse.user_s!r}\t{coarse.system_s!r}")
-    lines.append("end_dump")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    writer = DumpWriter(path, meta, calibration)
+    writer.write(records)
+    return writer.close(violations, coarse)
 
 
 def _parse_header(lines: Iterable[str]) -> tuple[DumpMeta, ClockCalibration, int]:

@@ -8,7 +8,7 @@ value. The measured cost of both clocks and the chosen refresh interval are
 recorded so dumps are self-describing.
 
 The hot path takes no locks: each thread appends to its own buffer, and
-buffers are only handed over at flush points.
+buffers are only handed over at flush points (:meth:`Recorder.drain`).
 """
 
 from __future__ import annotations
@@ -260,11 +260,34 @@ class Recorder:
         (code ``"E"``) or exit (``"X"``) of the log's thread, or
         ``("S", site, wall_ns, cpu_ns, tag, subject thread id, stack)`` for a
         stack sample. The codes are the dump record codes, so the dump
-        writer formats these tuples as they are.
+        writer formats these tuples as they are. Only records that
+        :meth:`drain` has not handed over are left to snapshot.
         """
         with self._logs_lock:
             logs = list(self._logs)
         return [(log.ident, list(log.events)) for log in logs]
+
+    def drain(self) -> List[Tuple[int, List[tuple]]]:
+        """Hand over the buffered records, as :meth:`records` lays them
+        out, and drop them from the buffers.
+
+        Each log gives up the records it holds when the drain reaches it;
+        one that its thread appends meanwhile stays for the next drain.
+        """
+        with self._logs_lock:
+            logs = list(self._logs)
+        out = []
+        for log in logs:
+            events = log.events
+            n = len(events)
+            out.append((log.ident, events[:n]))
+            del events[:n]
+        return out
+
+    def buffered(self) -> int:
+        """How many records the calling thread's log holds."""
+        log = getattr(self._tls, "log", None)
+        return 0 if log is None else len(log.events)
 
     def events(self) -> List[ProfileEvent]:
         """Materialize all buffered events in log-creation order.

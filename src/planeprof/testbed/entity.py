@@ -11,8 +11,11 @@ environment variables (``HOST_NAME``, ``NAME_SERVER_ADDR``,
 ``NAME_SERVER_UPDATE_PORT`` and friends, plus ``CLOCK_CALIBRATION``, the
 run's clock calibration as four comma-separated integers); thread mode
 constructs the same classes in-process. Either way each entity records its
-own profile with the run's calibration and writes one dump at clean
-shutdown. A process-mode entity then ends with ``os._exit`` once its
+own profile with the run's calibration and streams it to one dump during
+the run: whenever its loop thread holds :data:`FLUSH_RECORDS` records, the
+loop drains and writes them, and clean shutdown writes the rest and
+completes the file. An entity killed before then leaves only the dump's
+``.part`` file. A process-mode entity ends with ``os._exit`` once its
 standard streams are flushed (see ``__main__``): no atexit handler runs in
 it, and the rusage the orchestrator collects with ``wait4`` does not
 include interpreter teardown.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from planeprof.instrument.dumpio import DumpMeta, write_records
+from planeprof.instrument.dumpio import DumpMeta, DumpWriter
 from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
 from planeprof.instrument.proctimes import ProcessTimer
 from planeprof.instrument.recorder import ClockCalibration, Recorder
@@ -82,6 +85,7 @@ ENV_CLOCK_CALIBRATION = "CLOCK_CALIBRATION"
 SITE_POLL = CodeSite("testbed/entity.py", 10, "poll_wait", SiteKind.REGION)
 SITE_HANDLE = CodeSite("testbed/entity.py", 11, "handle_message", SiteKind.REGION)
 SITE_HEARTBEAT = CodeSite("testbed/entity.py", 12, "send_heartbeat", SiteKind.REGION)
+SITE_FLUSH = CodeSite("testbed/entity.py", 13, "dump_flush", SiteKind.REGION)
 
 _MAIN_SITES = {
     role: CodeSite("testbed/entity.py", 20 + i, f"{role.value}_main", SiteKind.FUNCTION)
@@ -90,6 +94,9 @@ _MAIN_SITES = {
 
 # profiling levels that turn the event recorder on
 EVENT_LEVELS = frozenset({"function", "line", "thread", "sample"})
+# the loop writes its thread's records to the dump once it holds this many,
+# which bounds the recorder's memory whatever the run's length
+FLUSH_RECORDS = 512
 _JOB_DRAIN_GRACE_S = 2.0
 _REQUIRED = object()  # from_env default marker: the variable must be set
 
@@ -233,13 +240,22 @@ class Entity:
 
     role: NodeRole = NodeRole.HOST_NODE
 
-    def __init__(self, cfg: EntityConfig, recorder: Optional[Recorder] = None) -> None:
+    def __init__(
+        self,
+        cfg: EntityConfig,
+        recorder: Optional[Recorder] = None,
+        dump: Optional[DumpWriter] = None,
+    ) -> None:
         self.cfg = cfg
         self.name = cfg.name
-        # only the orchestrator's manager passes a recorder: it shares the CLI's
+        # only the orchestrator's manager passes a recorder and a dump: it
+        # shares the CLI's recorder and streams it to the orchestrator's
+        # dump, which the orchestrator completes; an entity with a
+        # ``dump_dir`` opens its own dump in run()
         self.rec = recorder if recorder is not None else Recorder(
             enabled=bool(EVENT_LEVELS & set(cfg.levels)), calibration=cfg.calibration
         )
+        self.dump = dump
         self._timer: Optional[ProcessTimer] = None  # created on the loop thread
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -480,8 +496,27 @@ class Entity:
         accumulating, and a tick that has already passed is polled at
         once with a zero wait. With no traffic the poll count therefore
         tracks ``duration / timeout``; each early wake adds one poll.
+
+        With a dump, each pass that ends with :data:`FLUSH_RECORDS` or more
+        records buffered on this thread writes every buffered record to
+        it, inside the ``dump_flush`` region.
         """
         main_site = _MAIN_SITES[self.role]
+        if self.cfg.dump_dir:
+            self.dump = DumpWriter(
+                Path(self.cfg.dump_dir) / f"{self.name}.dump",
+                DumpMeta(
+                    run_id=self.cfg.run_id,
+                    entity=self.name,
+                    role=self.role.value,
+                    pid=os.getpid(),
+                    scenario=self.cfg.scenario_id,
+                    seed=self.cfg.seed,
+                    levels=self.cfg.levels,
+                    scale_factor=self.cfg.scale_factor,
+                ),
+                self.rec.calibration,
+            )
         self._timer = ProcessTimer("process" if self.cfg.own_process else "thread")
         sampler = None
         if "sample" in self.cfg.levels and self.rec.enabled:
@@ -507,18 +542,30 @@ class Entity:
                 if now >= due:
                     due += period_s
                 self._tick(now)
+                if self.dump is not None and self.rec.buffered() >= FLUSH_RECORDS:
+                    self._flush()
         finally:
             self.rec.exit(main_site)
             if sampler is not None:
                 sampler.stop()
             if self._killed:
                 self._close_all()
+                if self.cfg.dump_dir:
+                    self.dump.discard()
             else:
                 self.finalize()
 
+    def _flush(self) -> None:
+        """Write every buffered record to the dump and drop it."""
+        self.rec.enter(SITE_FLUSH)
+        try:
+            self.dump.write(self.rec.drain())
+        finally:
+            self.rec.exit(SITE_FLUSH)
+
     def kill(self) -> None:
         """Simulated crash for thread mode: stop beating, drop sockets,
-        write no dump."""
+        delete the unfinished dump."""
         self._killed = True
 
     def request_stop(self) -> None:
@@ -536,28 +583,13 @@ class Entity:
             pass
 
     def finalize(self) -> Optional[Path]:
-        """Write this entity's dump (if configured) and close sockets."""
+        """Write the rest of this entity's dump (if configured), complete
+        it, and close sockets."""
         coarse = self._timer.checkpoint() if self._timer is not None else None
         path = None
         if self.cfg.dump_dir:
-            meta = DumpMeta(
-                run_id=self.cfg.run_id,
-                entity=self.name,
-                role=self.role.value,
-                pid=os.getpid(),
-                scenario=self.cfg.scenario_id,
-                seed=self.cfg.seed,
-                levels=self.cfg.levels,
-                scale_factor=self.cfg.scale_factor,
-            )
-            path = write_records(
-                Path(self.cfg.dump_dir) / f"{self.name}.dump",
-                meta,
-                self.rec.calibration,
-                self.rec.records(),
-                self.rec.violations,
-                coarse,
-            )
+            self.dump.write(self.rec.drain())
+            path = self.dump.close(self.rec.violations, coarse)
         self._close_all()
         return path
 

@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from planeprof.instrument.dumpio import DumpMeta, write_records
+from planeprof.instrument.dumpio import DumpMeta, DumpWriter
 from planeprof.instrument.events import TAG_SPAWN, CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakdown_from_rusage
 from planeprof.instrument.recorder import Recorder
@@ -140,8 +140,10 @@ class ManagerService(Entity):
 
     role = NodeRole.GLOBAL_MANAGER
 
-    def __init__(self, cfg: EntityConfig, recorder: Recorder) -> None:
-        super().__init__(cfg, recorder)
+    def __init__(
+        self, cfg: EntityConfig, recorder: Recorder, dump: Optional[DumpWriter]
+    ) -> None:
+        super().__init__(cfg, recorder, dump)
         self._state = threading.Lock()
         self._send_mutex = threading.Lock()
         self.registrations: Dict[str, Registration] = {}
@@ -349,6 +351,9 @@ class RunningTopology:
         self._request_counter = 0
         self._down = False
         self.dump_paths: List[Path] = []
+        # the orchestrator's dump, which the manager loop streams the shared
+        # recorder to; opened at bootstrap, completed at shutdown
+        self.dump: Optional[DumpWriter] = None
 
     # -- info ----------------------------------------------------------------
 
@@ -442,10 +447,6 @@ class RunningTopology:
             for a in payload["actions"]
         ]
 
-    def liveness_report(self) -> LivenessReport:
-        assert self.manager is not None
-        return self.manager.liveness_snapshot()
-
     def kill(self, name: str) -> float:
         """SIGKILL (process) or crash-flag (thread) one entity.
 
@@ -533,7 +534,7 @@ class RunningTopology:
             self.dump_paths = sorted(self.dumps_dir.glob("*.dump"))
         return {h.name: h.coarse for h in self.handles.values()}
 
-    def _write_orchestrator_dump(self) -> None:
+    def _open_orchestrator_dump(self) -> None:
         if self.dumps_dir is None:
             return
         meta = DumpMeta(
@@ -546,14 +547,15 @@ class RunningTopology:
             levels=self.levels,
             scale_factor=self.config.scale_factor,
         )
-        write_records(
-            self.dumps_dir / "orchestrator.dump",
-            meta,
-            self.rec.calibration,
-            self.rec.records(),
-            self.rec.violations,
-            self._timer.checkpoint(),
-        )
+        self.dump = DumpWriter(self.dumps_dir / "orchestrator.dump", meta, self.rec.calibration)
+
+    def _write_orchestrator_dump(self) -> None:
+        """Write what the manager loop has not streamed, and complete the dump."""
+        if self.dump is None:
+            return
+        coarse = self._timer.checkpoint()
+        self.dump.write(self.rec.drain())
+        self.dump.close(self.rec.violations, coarse)
 
 
 def _entity_config(
@@ -694,6 +696,7 @@ def bootstrap(
     )
     if topo.dumps_dir is not None:
         topo.dumps_dir.mkdir(parents=True, exist_ok=True)
+    topo._open_orchestrator_dump()
     topo.mark_phase(BootstrapPhase.IDLE)
     try:
         _bootstrap_phases(topo)
@@ -722,7 +725,7 @@ def _bootstrap_phases(topo: RunningTopology) -> None:
             listen_port=cfg.listen_port,
         )
         try:
-            topo.manager = ManagerService(mgr_cfg, rec)
+            topo.manager = ManagerService(mgr_cfg, rec, topo.dump)
         except OSError as exc:
             raise PortUnavailable(f"cannot bind manager port {cfg.listen_port}: {exc}") from exc
         topo._mgr_thread = threading.Thread(
@@ -836,8 +839,3 @@ def _wait_workflows_active(topo: RunningTopology) -> None:
             lagging = [n for n in wm_names if counts.get(n, 0) < 1]
             raise BootstrapTimeout(BootstrapPhase.RUNNING, f"no active instances: {lagging}")
         time.sleep(0.02)
-
-
-def monitor_liveness(topology: RunningTopology) -> LivenessReport:
-    """Snapshot of the manager's heartbeat-based liveness view."""
-    return topology.liveness_report()

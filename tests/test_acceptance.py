@@ -196,7 +196,7 @@ class TestAcceptance:
                 deadline = time.monotonic() + bound + 1.0
                 detected = None
                 while time.monotonic() < deadline:
-                    report = topo.liveness_report()
+                    report = topo.manager.liveness_snapshot()
                     if report.failures:
                         detected = report.failures[0]
                         break

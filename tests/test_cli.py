@@ -139,6 +139,16 @@ class TestRun:
         names = {p.stem for p in (out / "dumps").glob("*.dump")}
         assert {"orchestrator", "gc", "ns", "lc-z1s1", "wm-z1w1", "host-z1s1h1"} <= names
 
+    def test_rerun_clears_stale_and_unfinished_dumps(self, scenario_file, tmp_path):
+        out = tmp_path / "rerun"
+        (out / "dumps").mkdir(parents=True)
+        for stale in ("ghost.dump", "ghost.dump.part"):
+            (out / "dumps" / stale).write_text("from an earlier run\n")
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        names = {p.name for p in (out / "dumps").iterdir()}
+        assert "orchestrator.dump" in names
+        assert not {n for n in names if n.startswith("ghost") or n.endswith(".part")}
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "nope.scenario")])
         assert code == EXIT_CONFIG

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tempfile
 import threading
+from itertools import groupby
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import site
 from planeprof.instrument.dumpio import (
@@ -12,6 +18,7 @@ from planeprof.instrument.dumpio import (
     DumpInfo,
     DumpMeta,
     DumpStream,
+    DumpWriter,
     read_dump,
     read_dump_info,
     write_dump,
@@ -407,3 +414,121 @@ class TestStream:
             with pytest.raises(DumpFormatError, match="footer counts 2 events"):
                 seen.extend(stream.records())
         assert len(seen) == 3  # every record came out, and then the check failed
+
+
+_SITES = [
+    site("work"),
+    site("poll_wait", SiteKind.REGION),
+    site("main"),
+    CodeSite("y.py", 3, "work", SiteKind.FUNCTION),  # same symbol, another site
+]
+_CLOCK = st.integers(min_value=-10**6, max_value=10**12)  # deltas may be negative
+_ENTER_EXIT = st.tuples(
+    st.sampled_from(["E", "X"]),
+    st.sampled_from(_SITES),
+    _CLOCK,
+    _CLOCK,
+    st.sampled_from([None, "poll", "a b"]),
+)
+_SAMPLE = st.builds(
+    lambda stack, wall, cpu, subject: ("S", stack[-1], wall, cpu, None, subject, tuple(stack)),
+    st.lists(st.sampled_from(_SITES), min_size=1, max_size=3),
+    _CLOCK,
+    _CLOCK,
+    st.sampled_from([1, 2]),
+)
+_VIOLATIONS = [NestingViolation(1, 999, site("oops", SiteKind.REGION), "detail")]
+_COARSE = CoarseBreakdown(1.5, 0.25, 0.125)
+
+
+def _batches(items, data):
+    """``items`` cut at points drawn from ``data``; empty batches included."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=6)))
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _fresh(rec):
+    """``rec`` with a new site object of equal value."""
+    return (rec[0], dataclasses.replace(rec[1]), *rec[2:])
+
+
+class TestDumpWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=st.lists(st.one_of(_ENTER_EXIT, _ENTER_EXIT, _SAMPLE), max_size=40),
+        fresh_sites=st.booleans(),
+        data=st.data(),
+    )
+    def test_batches_of_one_thread_match_one_shot(self, records, fresh_sites, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._batches_of_one_thread_match_one_shot(Path(tmp), records, fresh_sites, data)
+
+    @staticmethod
+    def _batches_of_one_thread_match_one_shot(tmp_path, records, fresh_sites, data):
+        one_shot = write_records(
+            tmp_path / "one.dump", META, CAL, [(7, records)], _VIOLATIONS, _COARSE
+        )
+        writer = DumpWriter(tmp_path / "batched.dump", META, CAL)
+        for batch in _batches(records, data):
+            if fresh_sites:
+                # each batch's sites are freed after it is written, so their
+                # ids may come back for other sites in a later batch
+                batch = [_fresh(rec) for rec in batch]
+            writer.write([(7, batch)])
+            del batch
+        batched = writer.close(_VIOLATIONS, _COARSE)
+        assert batched.read_bytes() == one_shot.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(st.sampled_from([1, 2, 3]), _ENTER_EXIT), max_size=40
+        ),
+        data=st.data(),
+    )
+    def test_interleaved_threads_read_back_per_thread(self, records, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._interleaved_threads_read_back_per_thread(Path(tmp), records, data)
+
+    @staticmethod
+    def _interleaved_threads_read_back_per_thread(tmp_path, records, data):
+        writer = DumpWriter(tmp_path / "x.dump", META, CAL)
+        for batch in _batches(records, data):
+            writer.write(
+                [(t, [rec for _, rec in run]) for t, run in groupby(batch, key=lambda r: r[0])]
+            )
+        path = writer.close()
+        expected = {t: [rec for u, rec in records if u == t] for t in (1, 2, 3)}
+        seen = {t: [] for t in (1, 2, 3)}
+        with DumpStream(path) as stream:
+            for code, where, wall, cpu, tag, thread, _ in stream.records():
+                seen[thread].append((code, where, wall, cpu, tag))
+        assert seen == expected
+        assert read_dump_info(path).events == len(records)
+
+    def test_freed_site_does_not_lend_its_number(self, tmp_path):
+        writer = DumpWriter(tmp_path / "x.dump", META, CAL)
+        for i in range(50):
+            # the site and its batch are freed once written: the next site
+            # is likely to be allocated where this one was
+            where = CodeSite("x.py", i, f"fn{i}", SiteKind.FUNCTION)
+            writer.write([(1, [("E", where, 2 * i, 0, None), ("X", where, 2 * i + 1, 0, None)])])
+            del where
+        path = writer.close()
+        with DumpStream(path) as stream:
+            symbols = [rec[1].symbol for rec in stream.records()]
+        assert symbols == [f"fn{i}" for i in range(50) for _ in range(2)]
+
+    def test_dump_is_named_only_once_closed(self, tmp_path):
+        path = tmp_path / "x.dump"
+        part = tmp_path / "x.dump.part"
+        writer = DumpWriter(path, META, CAL)
+        writer.write([(1, [("E", site("work"), 10, 1, None)])])
+        assert part.exists() and not path.exists()
+        assert writer.close() == path
+        assert path.exists() and not part.exists()
+        discarded = DumpWriter(tmp_path / "y.dump", META, CAL)
+        discarded.write([(1, [("E", site("work"), 10, 1, None)])])
+        discarded.discard()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.dump"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -114,6 +115,60 @@ class TestRegions:
             for e in evs:
                 depth += 1 if e.kind is EventKind.ENTER else -1
                 assert depth in (0, 1)
+
+
+class TestDrain:
+    def test_drain_hands_over_and_forgets(self, recorder):
+        s = site("tick", SiteKind.REGION)
+        for _ in range(2):
+            with recorder.region(s):
+                pass
+        worker = threading.Thread(target=recorder.enter, args=(s,))
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert recorder.buffered() == 4  # this thread's log only
+        before = recorder.records()
+        assert [len(recs) for _, recs in before] == [4, 1]
+        assert recorder.drain() == before
+        assert [recs for _, recs in recorder.records()] == [[], []]
+        assert recorder.buffered() == 0
+        with recorder.region(s):
+            pass
+        assert [len(recs) for _, recs in recorder.drain()] == [2, 0]
+
+    def test_records_appended_during_drains_are_kept(self, recorder):
+        s = site("tick", SiteKind.REGION)
+        pairs = 3_000
+
+        def work():
+            for _ in range(pairs):
+                recorder.enter(s)
+                recorder.exit(s)
+
+        drained = {}
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            while any(w.is_alive() for w in workers):
+                for ident, recs in recorder.drain():
+                    drained.setdefault(ident, []).extend(recs)
+            for w in workers:
+                w.join(timeout=10)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for ident, recs in recorder.drain():
+            drained.setdefault(ident, []).extend(recs)
+        # idents may be reused, so count per record code, not per thread
+        codes = [rec[0] for recs in drained.values() for rec in recs]
+        assert codes.count("E") == codes.count("X") == 4 * pairs
+        for recs in drained.values():
+            walls = [rec[2] for rec in recs]
+            assert walls == sorted(walls)
 
 
 class TestSleep:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -17,10 +18,13 @@ from conftest import fast_scenario
 from planeprof.instrument.dumpio import read_dump
 from planeprof.instrument.events import TAG_SLEEP
 from planeprof.instrument.recorder import ClockCalibration, Recorder
-from planeprof.model.aggregate import aggregate_functions, profile_from_dump
+from planeprof.cli import EXIT_OK, main
+from planeprof.model.aggregate import aggregate_functions, profile_from_dump, profile_from_path
 from planeprof.model.merge import merge_profiles
 from planeprof.testbed.config import NodeRole
 from planeprof.testbed.entity import (
+    FLUSH_RECORDS,
+    SITE_FLUSH,
     SITE_HANDLE,
     SITE_POLL,
     ClientEntity,
@@ -38,7 +42,6 @@ from planeprof.testbed.orchestrator import (
     PortUnavailable,
     RunningTopology,
     bootstrap,
-    monitor_liveness,
 )
 
 
@@ -204,6 +207,83 @@ class TestPollLoop:
         assert abs(polls - expected) <= 0.25 * expected
 
 
+class TestDumpStreaming:
+    """An entity writes its dump during the run, not all at shutdown."""
+
+    @staticmethod
+    def dumping_entity(dump_dir, cls=Entity) -> Entity:
+        cfg = EntityConfig(
+            name="streamer",
+            role=NodeRole.HOST_NODE,
+            manager_addr=None,
+            poll_timeout_ms=1.0,
+            levels=("function",),
+            dump_dir=str(dump_dir),
+        )
+        return cls(cfg)
+
+    def test_buffer_stays_bounded_and_every_record_lands(self, tmp_path):
+        class Watched(Entity):
+            peak = 0
+            polls = 0
+
+            def _pump(self, timeout_s):
+                self.polls += 1
+                super()._pump(timeout_s)
+
+            def _tick(self, now):
+                super()._tick(now)
+                self.peak = max(self.peak, self.rec.buffered())
+
+        entity = self.dumping_entity(tmp_path, Watched)
+        entity.run(1.0)
+        # one pass of this loop records one poll_wait pair, and the buffer
+        # is written out once a pass leaves FLUSH_RECORDS or more behind
+        assert entity.polls > FLUSH_RECORDS
+        assert FLUSH_RECORDS <= entity.peak <= FLUSH_RECORDS + 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamer.dump"]
+        rows = profile_from_path(tmp_path / "streamer.dump").rows
+        assert rows[SITE_FLUSH].ncalls_total >= 1
+        assert rows[SITE_POLL].ncalls_total == entity.polls
+
+    def test_killed_thread_entity_deletes_its_unfinished_dump(self, tmp_path):
+        entity = self.dumping_entity(tmp_path)
+        thread = threading.Thread(target=entity.run, args=(30.0,), daemon=True)
+        thread.start()
+        part = tmp_path / "streamer.dump.part"
+        deadline = time.monotonic() + 5.0
+        while not part.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert part.exists()
+        time.sleep(0.7)  # long enough for a flush at a 1 ms poll
+        entity.kill()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigkilled_process_leaves_no_dump_and_analyze_succeeds(self, tmp_path):
+        cfg = fast_scenario(
+            entity_mode="process",
+            client_users=0,
+            poll_timeout_ms=1.0,
+            bootstrap_deadline_s=30.0,
+        )
+        t = bootstrap(cfg, run_dir=tmp_path)
+        try:
+            time.sleep(0.7)
+            t.kill("host-z1s1h1")
+        finally:
+            t.shutdown()
+        assert t.handles["host-z1s1h1"].exit_code == -9
+        names = {p.name for p in (tmp_path / "dumps").iterdir()}
+        assert "host-z1s1h1.dump" not in names
+        assert "host-z1s1h1.dump.part" in names
+        assert {"orchestrator.dump", "gc.dump", "wm-z1w1.dump"} <= names
+        findings = tmp_path / "findings.json"
+        assert main(["analyze", "--dumps", str(tmp_path), "--out", str(findings)]) == EXIT_OK
+        assert findings.is_file()
+
+
 class TestRegistration:
     def test_no_ack_times_out(self):
         # a listening socket that never answers: Register gets no ack
@@ -300,7 +380,7 @@ class TestLiveness:
     def test_no_failures_over_quiet_run(self, topo):
         t = topo(client_users=0)
         time.sleep(3 * t.config.heartbeat_interval_s)
-        report = monitor_liveness(t)
+        report = t.manager.liveness_snapshot()
         assert report.failures == ()
         assert report.unreachable_via_controller == ()
 
@@ -309,10 +389,10 @@ class TestLiveness:
         kill_t = t.kill("host-z1s1h2")
         bound = (t.config.heartbeat_miss_limit + 1) * t.config.heartbeat_interval_s
         deadline = time.monotonic() + bound + 1.0
-        report = monitor_liveness(t)
+        report = t.manager.liveness_snapshot()
         while not report.failures and time.monotonic() < deadline:
             time.sleep(0.02)
-            report = monitor_liveness(t)
+            report = t.manager.liveness_snapshot()
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure.name == "host-z1s1h2"
@@ -323,10 +403,10 @@ class TestLiveness:
         kill_t = t.kill("lc-z1s1")
         bound = (t.config.heartbeat_miss_limit + 1) * t.config.heartbeat_interval_s
         deadline = time.monotonic() + bound + 1.0
-        report = monitor_liveness(t)
+        report = t.manager.liveness_snapshot()
         while not report.unreachable_via_controller and time.monotonic() < deadline:
             time.sleep(0.02)
-            report = monitor_liveness(t)
+            report = t.manager.liveness_snapshot()
         assert {f.name for f in report.failures} == {"lc-z1s1"}
         unreachable = {u.host for u in report.unreachable_via_controller}
         assert unreachable == {"host-z1s1h1", "host-z1s1h2"}
