@@ -5,7 +5,7 @@ The package has three layers:
 * ``planeprof.testbed`` runs a small hierarchical control plane (manager,
   controllers, name server, hosts, clients) as the workload under test.
 * ``planeprof.instrument`` collects raw timing evidence: process clock
-  splits, function enter/exit events, statement regions and stack samples.
+  splits, function enter/exit events and statement regions.
 * ``planeprof.model``, ``planeprof.analysis`` and ``planeprof.reporting``
   turn event streams into tabular profiles, classified hotspot findings
   and rendered reports.

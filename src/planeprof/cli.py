@@ -18,7 +18,7 @@ from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
 from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump_info
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
-from planeprof.instrument.recorder import Recorder, calibrate_clocks
+from planeprof.instrument.recorder import LEVELS, Recorder, calibrate_clocks
 from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stream
 from planeprof.model.merge import RunIdMismatch, merge_profiles
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
@@ -39,8 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-LEVELS = ("coarse", "function", "line", "thread", "sample")
-
 SITE_RUN_WINDOW = CodeSite("cli.py", 1, "run_window", SiteKind.REGION)
 
 
@@ -50,7 +48,7 @@ class CliError(Exception):
 
 def _parse_levels(raw: Optional[str]) -> Tuple[str, ...]:
     if not raw:
-        return ("coarse", "function", "line", "thread")
+        return LEVELS
     levels = tuple(x.strip() for x in raw.split(",") if x.strip())
     unknown = [x for x in levels if x not in LEVELS]
     if unknown:
@@ -87,7 +85,6 @@ def _rules(path: Optional[str]) -> Optional[CategoryRules]:
 def cmd_run(args: argparse.Namespace) -> int:
     # the testbed is imported here, so analyze, report and compare never load it
     from planeprof.testbed.config import ScenarioError, load_scenario
-    from planeprof.testbed.entity import EVENT_LEVELS
     from planeprof.testbed.orchestrator import (
         BootstrapTimeout,
         EntitySpawnFailed,
@@ -112,7 +109,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         dumps = out / "dumps"
         for stale in [*dumps.glob("*.dump"), *dumps.glob("*.dump.part")]:
             stale.unlink()
-        recorder = Recorder(enabled=bool(EVENT_LEVELS & set(levels)))
+        recorder = Recorder(enabled="events" in levels)
         run_id = f"{config.scenario_id}-seed{config.seed}"
         topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)
         load_report = None

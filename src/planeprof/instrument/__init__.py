@@ -1,8 +1,8 @@
-"""Raw timing evidence collection: events, recorder, sampler, process clocks.
+"""Raw timing evidence collection: events, recorder, dump files, process clocks.
 
 Import the submodules directly; this package re-exports only the recorder
 names the benchmark's layer timings use, so that importing a submodule
-loads nothing else, the stack sampler in particular.
+loads nothing else.
 """
 
 from planeprof.instrument.events import CodeSite, SiteKind

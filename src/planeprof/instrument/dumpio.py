@@ -20,10 +20,9 @@ Layout (tab-separated records, one per line, stable field order):
     site\t<n>\t<file>\t<line>\t<symbol>\t<site kind>\t<tag or ->   # defines n
     E\t<wall delta>\t<cpu delta>\t<n>
     X\t... (same fields)
-    S\t<thread>\t<wall_ns>\t<cpu_ns>\t<frame>|<frame>|...   frame = file:line:symbol
     V\t<thread>\t<wall_ns>\t<file>\t<line>\t<symbol>\t<site kind>\t<detail>
     end_events
-    counts\t<events>\t<violations>     # events = E, X and S records
+    counts\t<events>\t<violations>     # events = E and X records
     coarse\t<elapsed_s>\t<user_s>\t<system_s>
     end_dump
 
@@ -35,9 +34,9 @@ one, has two numbers. Its wall and CPU clocks are differences from the
 previous ``E`` or ``X`` record of the same thread, kept across that
 thread's blocks; a thread's first record carries the absolute clocks. A
 delta may be negative, and is read as it is: a backwards clock is the
-consumer's to report. ``S`` and ``V`` records name their own thread,
-sites and absolute clocks, and leave the open block and the deltas as
-they are. Thread blocks may interleave, and a thread may open several.
+consumer's to report. ``V`` records name their own thread, site and
+absolute clock, and leave the open block and the deltas as they are.
+Thread blocks may interleave, and a thread may open several.
 ``T`` and ``site`` lines are not counted in the footer. Versions 1 to 3
 are rejected by name: re-run the scenario to get version-4 dumps.
 
@@ -83,8 +82,8 @@ FORMAT_LINE = "profile-dump 4"
 
 _KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-_EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X", EventKind.SAMPLE: "S"}
-_RECORD_CODES = ("E", "X", "S", "V", "T", "site")
+_EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X"}
+_RECORD_CODES = ("E", "X", "V", "T", "site")
 
 # Room for the footer lines after ``end_events``, whose length is bounded.
 _TAIL_BYTES = 4096
@@ -137,15 +136,6 @@ def _clean(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ")
 
 
-def _frame_str(site: CodeSite) -> str:
-    return f"{_clean(site.file)}:{site.line}:{_clean(site.symbol)}"
-
-
-def _parse_frame(text: str) -> CodeSite:
-    file, line, symbol = text.rsplit(":", 2)
-    return CodeSite(file=file, line=int(line), symbol=symbol, kind=SiteKind.FUNCTION)
-
-
 class DumpWriter:
     """One dump written while its records arrive, batch by batch.
 
@@ -163,7 +153,7 @@ class DumpWriter:
     def __init__(self, path: Path | str, meta: DumpMeta, calibration: ClockCalibration) -> None:
         self.path = Path(path)
         self._part = self.path.with_name(self.path.name + ".part")
-        self._events = 0  # E, X and S records written so far
+        self._events = 0  # E and X records written so far
         # (id(site), tag) -> number; keyed by id() as hashing a dataclass is
         # far dearer. Written records no longer hold their sites, so
         # ``_sites`` keeps every numbered site alive: a freed site's id could
@@ -201,9 +191,7 @@ class DumpWriter:
         enter or exit, and gets a ``site`` line for its (site, tag) pair
         before the pair's first use. Pairs with equal text share one
         number, and the lines depend only on the order of the records, so a
-        dump read back and written again is byte-identical. A sample without
-        a stack is skipped: the recorder never keeps one and a reader could
-        not rebuild it.
+        dump read back and written again is byte-identical.
         """
         numbers = self._numbers
         by_text = self._by_text
@@ -217,13 +205,6 @@ class DumpWriter:
         cpu = self._cpu
         for thread, recs in records:
             for rec in recs:
-                code = rec[0]
-                if code == "S":
-                    stack = rec[6]
-                    if stack:
-                        frames = "|".join([_frame_str(s) for s in stack])
-                        append(f"S\t{rec[5]}\t{rec[2]}\t{rec[3]}\t{frames}")
-                    continue
                 if thread != block:
                     clocks[block] = (wall, cpu)
                     block = thread
@@ -244,7 +225,7 @@ class DumpWriter:
                         append(f"site\t{number}\t{text}")
                     numbers[id(site), tag] = number
                     self._sites.append(site)
-                append(f"{code}\t{rec[2] - wall}\t{rec[3] - cpu}\t{number}")
+                append(f"{rec[0]}\t{rec[2] - wall}\t{rec[3] - cpu}\t{number}")
                 wall = rec[2]
                 cpu = rec[3]
         self._block = block
@@ -298,7 +279,7 @@ def records_of(
         seen = by_id.get(id(ev.site))
         if seen is None:
             seen = by_id[id(ev.site)] = (ev.site, by_value.setdefault(ev.site, ev.site))
-        yield _EVENT_CODE[ev.kind], seen[1], ev.wall_ns, ev.cpu_ns, ev.tag, ev.thread_id, ev.stack
+        yield _EVENT_CODE[ev.kind], seen[1], ev.wall_ns, ev.cpu_ns, ev.tag, ev.thread_id
 
 
 def write_dump(
@@ -397,15 +378,12 @@ def _parse_footer(lines: Iterable[str]) -> Tuple[int, int, Optional[CoarseBreakd
 class DumpStream:
     """One dump read front to back: the header on open, then its records.
 
-    :meth:`records` yields one ``(code, site, wall_ns, cpu_ns, tag, thread,
-    stack)`` tuple per ``E``, ``X`` or ``S`` line, the layout of
-    :meth:`Recorder.records`: ``thread`` is the open block's thread, or a
-    sample's subject thread, ``wall_ns`` and ``cpu_ns`` are absolute, and
-    ``stack`` is ``None`` except on samples, whose ``site`` is the leaf
-    frame. Each ``site`` line and each distinct frame text becomes one
-    :class:`CodeSite`, and equal sites are one object, so consumers may
-    compare sites with ``is``. Every line is
-    validated; ``V`` records are collected in :attr:`violations`. The
+    :meth:`records` yields one ``(code, site, wall_ns, cpu_ns, tag, thread)``
+    tuple per ``E`` or ``X`` line: a record of :meth:`Recorder.records`
+    followed by the open block's thread, with ``wall_ns`` and ``cpu_ns``
+    absolute. Each ``site`` line becomes one :class:`CodeSite`, and equal
+    sites are one object, so consumers may compare sites with ``is``. Every
+    line is validated; ``V`` records are collected in :attr:`violations`. The
     counts footer is checked against the body before the generator
     finishes, so a consumer has used no result of a dump that fails it.
     :attr:`line` is the number of the line last read, for errors a
@@ -436,7 +414,6 @@ class DumpStream:
         # a site line's number, newline included as E/X lines end with it
         # -> its interned site and tag
         sites: Dict[str, Tuple[CodeSite, Optional[str]]] = {}
-        frames: Dict[str, CodeSite] = {}  # sample frame text -> interned site
         by_value: Dict[CodeSite, CodeSite] = {}
         clocks: Dict[int, Tuple[int, int]] = {}  # thread -> last (wall, cpu), block closed
         thread: Optional[int] = None  # the open block's
@@ -462,7 +439,7 @@ class DumpStream:
                         raise DumpFormatError(f"line {self.line}: {code!r} before any T line")
                     wall += int(wall_delta)
                     cpu += int(cpu_delta)
-                    yield code, site_tag[0], wall, cpu, site_tag[1], thread, None
+                    yield code, site_tag[0], wall, cpu, site_tag[1], thread
                 elif code == "T":
                     _, thread_text = fields
                     clocks[thread] = (wall, cpu)
@@ -481,19 +458,6 @@ class DumpStream:
                     tag = tag.rstrip("\n")
                     sites[number] = (by_value.setdefault(site, site), None if tag == "-" else tag)
                     uncounted += 1
-                elif code == "S":
-                    _, thread_text, sample_wall, sample_cpu, stack_text = fields
-                    stack = []
-                    for frame in stack_text.rstrip("\n").split("|"):
-                        site = frames.get(frame)
-                        if site is None:
-                            site = _parse_frame(frame)
-                            site = frames[frame] = by_value.setdefault(site, site)
-                        stack.append(site)
-                    yield (
-                        "S", stack[-1], int(sample_wall), int(sample_cpu), None,
-                        int(thread_text), tuple(stack),
-                    )
                 elif code == "V":
                     _, thread_text, violation_wall, file, lineno, symbol, kind, detail = fields
                     self.violations.append(
@@ -532,9 +496,7 @@ class DumpStream:
 
 
 def _event_of(rec: tuple) -> ProfileEvent:
-    code, site, wall, cpu, tag, thread, stack = rec
-    if stack is not None:
-        return ProfileEvent(thread, site, EventKind.SAMPLE, wall, cpu, stack=stack)
+    code, site, wall, cpu, tag, thread = rec
     kind = EventKind.ENTER if code == "E" else EventKind.EXIT
     return ProfileEvent(thread, site, kind, wall, cpu, tag)
 

@@ -2,15 +2,14 @@
 
 A :class:`CodeSite` names a place in the code (file, line, symbol); a
 :class:`ProfileEvent` is one timestamped observation at a site. Enter/Exit
-pairs bracket function or region execution; Sample events carry a whole
-stack captured by the statistical sampler.
+pairs bracket function or region execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class SiteKind(str, Enum):
@@ -22,7 +21,6 @@ class SiteKind(str, Enum):
 class EventKind(str, Enum):
     ENTER = "enter"
     EXIT = "exit"
-    SAMPLE = "sample"
 
 
 # Well-known tags attached by the instrumentation layer. Analysis gives
@@ -55,13 +53,12 @@ class CodeSite:
 
 @dataclass(frozen=True)
 class ProfileEvent:
-    """One observation: an enter, exit or stack sample.
+    """One observation: an enter or an exit.
 
     ``wall_ns`` comes from the process monotonic clock, ``cpu_ns`` from the
     per-thread CPU clock (possibly cached between refreshes, see
     :class:`planeprof.instrument.recorder.Recorder`). ``thread_id`` is the
-    thread the event describes, which for samples differs from the thread
-    that recorded it.
+    thread that recorded it.
     """
 
     thread_id: int
@@ -70,7 +67,6 @@ class ProfileEvent:
     wall_ns: int
     cpu_ns: int
     tag: Optional[str] = None
-    stack: Optional[Tuple[CodeSite, ...]] = None
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ from planeprof.instrument.events import (
 _ENTER = "E"
 _EXIT = "X"
 
+# The profiling levels, all of them on by default. ``coarse`` process clock
+# splits are always collected; ``events`` turns the recorder on.
+LEVELS = ("coarse", "events")
+
 # Above this per-read cost the CPU clock is too expensive to touch on every
 # event (virtualized hosts commonly take several microseconds per read).
 _CPU_COST_THRESHOLD_NS = 1_000
@@ -241,15 +245,6 @@ class Recorder:
         finally:
             self.exit(site)
 
-    # -- sampler support ---------------------------------------------------
-
-    def record_sample(self, thread_id: int, stack: tuple, wall_ns: int, cpu_ns: int) -> None:
-        """Append a Sample event observed for ``thread_id`` by the sampler."""
-        if not self.enabled or not stack:
-            return
-        log = self._log()
-        log.events.append(("S", stack[-1], wall_ns, cpu_ns, None, thread_id, stack))
-
     # -- snapshot / flush ---------------------------------------------------
 
     def records(self) -> List[Tuple[int, List[tuple]]]:
@@ -257,11 +252,10 @@ class Recorder:
         thread log, in log-creation order.
 
         A record is ``(code, site, wall_ns, cpu_ns, tag)`` for an enter
-        (code ``"E"``) or exit (``"X"``) of the log's thread, or
-        ``("S", site, wall_ns, cpu_ns, tag, subject thread id, stack)`` for a
-        stack sample. The codes are the dump record codes, so the dump
-        writer formats these tuples as they are. Only records that
-        :meth:`drain` has not handed over are left to snapshot.
+        (code ``"E"``) or exit (``"X"``) of the log's thread. The codes are
+        the dump record codes, so the dump writer formats these tuples as
+        they are. Only records that :meth:`drain` has not handed over are
+        left to snapshot.
         """
         with self._logs_lock:
             logs = list(self._logs)
@@ -295,36 +289,18 @@ class Recorder:
         A reused thread ident appears as one stream whose segments come
         from disjoint thread lifetimes, so per-id wall monotonicity holds.
         """
-        out: List[ProfileEvent] = []
-        for ident, records in self.records():
-            for rec in records:
-                kind = rec[0]
-                if kind == "S":
-                    _, site, wall, cpu, tag, subject, stack = rec
-                    out.append(
-                        ProfileEvent(
-                            thread_id=subject,
-                            site=site,
-                            kind=EventKind.SAMPLE,
-                            wall_ns=wall,
-                            cpu_ns=cpu,
-                            tag=tag,
-                            stack=stack,
-                        )
-                    )
-                else:
-                    _, site, wall, cpu, tag = rec
-                    out.append(
-                        ProfileEvent(
-                            thread_id=ident,
-                            site=site,
-                            kind=EventKind.ENTER if kind == _ENTER else EventKind.EXIT,
-                            wall_ns=wall,
-                            cpu_ns=cpu,
-                            tag=tag,
-                        )
-                    )
-        return out
+        return [
+            ProfileEvent(
+                thread_id=ident,
+                site=site,
+                kind=EventKind.ENTER if code == _ENTER else EventKind.EXIT,
+                wall_ns=wall,
+                cpu_ns=cpu,
+                tag=tag,
+            )
+            for ident, records in self.records()
+            for code, site, wall, cpu, tag in records
+        ]
 
     @property
     def violations(self) -> List[NestingViolation]:

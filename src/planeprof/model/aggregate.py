@@ -158,11 +158,11 @@ def walk(
     """Aggregate a record stream in one pass.
 
     Sites are compared with ``is``, so equal sites must be one object, as
-    :class:`DumpStream` and :func:`records_of` yield them. Samples are
-    skipped. Unmatched brackets are dropped (theirs is the violation the
-    recorder already flagged); a backwards wall clock, and a site whose
-    recursive activations close inside a primitive one that never closes,
-    are unrepairable.
+    :class:`DumpStream` and :func:`records_of` yield them. Unmatched
+    brackets are dropped (theirs is the violation the recorder already
+    flagged); a backwards wall clock, and a site whose recursive
+    activations close inside a primitive one that never closes, are
+    unrepairable.
     Region rows are kept for ``scope``, or for the first ``FUNCTION`` site
     named ``scope_symbol`` in stream order.
     """
@@ -175,9 +175,7 @@ def walk(
     last_wall = _NO_WALL
     finding = scope is None and scope_symbol is not None
     scope_seen = False
-    for code, site, wall, _, tag, tid, _ in records:
-        if code == "S":
-            continue
+    for code, site, wall, _, tag, tid in records:
         if tid != ident:
             if thread is not None:
                 thread.last_wall = last_wall

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from planeprof.instrument.dumpio import DumpMeta, DumpWriter
 from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
 from planeprof.instrument.proctimes import ProcessTimer
-from planeprof.instrument.recorder import ClockCalibration, Recorder
+from planeprof.instrument.recorder import LEVELS, ClockCalibration, Recorder
 from planeprof.testbed.config import NodeRole
 from planeprof.testbed.wire import (
     FrameDecoder,
@@ -92,8 +92,6 @@ _MAIN_SITES = {
     for i, role in enumerate(NodeRole)
 }
 
-# profiling levels that turn the event recorder on
-EVENT_LEVELS = frozenset({"function", "line", "thread", "sample"})
 # the loop writes its thread's records to the dump once it holds this many,
 # which bounds the recorder's memory whatever the run's length
 FLUSH_RECORDS = 512
@@ -123,7 +121,7 @@ class EntityConfig:
     run_id: str = "-"
     scenario_id: str = "-"
     dump_dir: Optional[str] = None
-    levels: Tuple[str, ...] = ("coarse", "function", "line", "thread")
+    levels: Tuple[str, ...] = LEVELS
     seed: int = 0
     scale_factor: float = 1.0
     listen_port: int = 0
@@ -253,7 +251,7 @@ class Entity:
         # dump, which the orchestrator completes; an entity with a
         # ``dump_dir`` opens its own dump in run()
         self.rec = recorder if recorder is not None else Recorder(
-            enabled=bool(EVENT_LEVELS & set(cfg.levels)), calibration=cfg.calibration
+            enabled="events" in cfg.levels, calibration=cfg.calibration
         )
         self.dump = dump
         self._timer: Optional[ProcessTimer] = None  # created on the loop thread
@@ -518,12 +516,6 @@ class Entity:
                 self.rec.calibration,
             )
         self._timer = ProcessTimer("process" if self.cfg.own_process else "thread")
-        sampler = None
-        if "sample" in self.cfg.levels and self.rec.enabled:
-            from planeprof.instrument.sampler import StackSampler
-
-            sampler = StackSampler(self.rec, interval_ms=10.0)
-            sampler.start()
         self.rec.enter(main_site)
         try:
             if self.cfg.manager_addr is not None:
@@ -546,8 +538,6 @@ class Entity:
                     self._flush()
         finally:
             self.rec.exit(main_site)
-            if sampler is not None:
-                sampler.stop()
             if self._killed:
                 self._close_all()
                 if self.cfg.dump_dir:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from planeprof.instrument.dumpio import DumpMeta, DumpWriter
 from planeprof.instrument.events import TAG_SPAWN, CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakdown_from_rusage
-from planeprof.instrument.recorder import Recorder
+from planeprof.instrument.recorder import LEVELS, Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.entity import (
     Addr,
@@ -334,7 +334,7 @@ class RunningTopology:
         run_id: str,
         run_dir: Optional[Path],
         recorder: Recorder,
-        levels: Tuple[str, ...] = ("coarse", "function", "line", "thread"),
+        levels: Tuple[str, ...] = LEVELS,
     ) -> None:
         self.config = config
         self.run_id = run_id
@@ -679,7 +679,7 @@ def bootstrap(
     run_dir: Optional[Path | str] = None,
     recorder: Optional[Recorder] = None,
     run_id: Optional[str] = None,
-    levels: Tuple[str, ...] = ("coarse", "function", "line", "thread"),
+    levels: Tuple[str, ...] = LEVELS,
 ) -> RunningTopology:
     """Bring the whole topology to Running; returns handles and timeline.
 

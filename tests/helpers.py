@@ -82,8 +82,7 @@ def oracle_aggregate(events: Iterable[ProfileEvent]) -> Dict[CodeSite, OracleRow
     """Independent function stats: sweep for tottime, interval union for cumtime."""
     per_thread: Dict[int, List[ProfileEvent]] = defaultdict(list)
     for e in events:
-        if e.kind is not EventKind.SAMPLE:
-            per_thread[e.thread_id].append(e)
+        per_thread[e.thread_id].append(e)
     rows: Dict[CodeSite, OracleRow] = defaultdict(OracleRow)
     for _, evs in sorted(per_thread.items()):
         stack: List[Tuple[CodeSite, int]] = []  # (site, enter_wall)
@@ -150,8 +149,7 @@ def assert_conservation(profile, events, clock_resolution_ns: int = 1) -> None:
     spans = bracketed_span_ns(events)
     per_thread: Dict[int, List[ProfileEvent]] = defaultdict(list)
     for e in events:
-        if e.kind is not EventKind.SAMPLE:
-            per_thread[e.thread_id].append(e)
+        per_thread[e.thread_id].append(e)
     for thread_id, evs in per_thread.items():
         thread_profile = aggregate_functions(evs)
         total_tot = sum(r.tottime_ns for r in thread_profile.rows.values())

@@ -114,7 +114,7 @@ class TestAcceptance:
             role=NodeRole.HOST_NODE,
             manager_addr=None,
             poll_timeout_ms=1.0,
-            levels=("function", "line"),
+            levels=("events",),
         )
         entity = Entity(cfg)
         t0 = time.monotonic()

@@ -27,7 +27,7 @@ from planeprof.instrument.dumpio import (
     write_dump,
     write_records,
 )
-from planeprof.instrument.events import CodeSite, EventKind, ProfileEvent, SiteKind
+from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.instrument.recorder import ClockCalibration, Recorder
 from planeprof.model.aggregate import (
@@ -73,15 +73,6 @@ def run_dir(scenario_file, tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def sampled_run_dir(scenario_file, tmp_path_factory):
-    out = tmp_path_factory.mktemp("runs") / "sampled"
-    levels = "coarse,function,sample"
-    code = main(["run", "--scenario", str(scenario_file), "--out", str(out), "--levels", levels])
-    assert code == EXIT_OK
-    return out
-
-
 def assert_streamed_equals_materialized(path):
     dump = read_dump(path)
     expected = profile_from_dump(dump)
@@ -89,11 +80,7 @@ def assert_streamed_equals_materialized(path):
     assert list(profile.rows.items()) == list(expected.rows.items())
     assert profile.wall_span_ns == expected.wall_span_ns
     assert (profile.run_id, profile.sources) == (expected.run_id, expected.sources)
-    # a scope is a bracketed site, never a sample's frame
-    scopes = [
-        e.site for e in dump.events
-        if e.site.kind is SiteKind.FUNCTION and e.kind is not EventKind.SAMPLE
-    ]
+    scopes = [e.site for e in dump.events if e.site.kind is SiteKind.FUNCTION]
     with DumpStream(path) as stream:
         streamed = walk_stream(stream, scope_symbol=scopes[0].symbol if scopes else None)
     assert streamed.thread_table() == aggregate_threads(dump.events)
@@ -158,19 +145,25 @@ class TestRun:
         path.write_text("zones = 0\n", encoding="utf-8")
         assert main(["run", "--scenario", str(path)]) == EXIT_CONFIG
 
-    def test_unknown_level_is_config_error(self, scenario_file, tmp_path):
-        code = main(
-            [
-                "run",
-                "--scenario",
-                str(scenario_file),
-                "--out",
-                str(tmp_path / "x"),
-                "--levels",
-                "coarse,psychic",
-            ]
-        )
-        assert code == EXIT_CONFIG
+    def test_unknown_level_is_config_error(self, scenario_file, tmp_path, capsys):
+        # the retired names function, line, thread and sample get no alias
+        for levels in ("coarse,psychic", "function", "line", "thread", "sample"):
+            code = main(
+                [
+                    "run",
+                    "--scenario",
+                    str(scenario_file),
+                    "--out",
+                    str(tmp_path / "x"),
+                    "--levels",
+                    levels,
+                ]
+            )
+            assert code == EXIT_CONFIG
+            unknown = levels.split(",")[-1]
+            assert capsys.readouterr().err == (
+                f"error: unknown profiling levels: ['{unknown}']; valid: ['coarse', 'events']\n"
+            )
 
     def test_busy_port_is_runtime_failure(self, tmp_path):
         blocker = socket.socket()
@@ -261,6 +254,20 @@ class TestRun:
         rows = (out / "dumps" / "index.txt").read_text().splitlines()[1:]
         assert [row.split("\t")[4] for row in rows] == ["0"] * len(paths)
 
+    @pytest.mark.parametrize("levels", ["events", "coarse,events"])
+    def test_events_level_records_events(self, scenario_file, tmp_path, levels):
+        out = tmp_path / "events-run"
+        code = main(
+            ["run", "--scenario", str(scenario_file), "--out", str(out), "--levels", levels]
+        )
+        assert code == EXIT_OK
+        paths = sorted((out / "dumps").glob("*.dump"))
+        assert {"orchestrator", "gc", "ns"} <= {p.stem for p in paths}
+        for path in paths:
+            dump = read_dump(path)
+            assert dump.events, path.name
+            assert dump.meta.levels == tuple(levels.split(","))
+
     def test_same_seed_reproduces_message_counts(self, scenario_file, tmp_path):
         out_b = tmp_path / "runB"
         out_c = tmp_path / "runC"
@@ -304,6 +311,20 @@ class TestAnalyze:
             f"error: {victim}: line {line}: malformed 'E' record"
         )
 
+    def test_sample_record_is_config_error(self, run_dir, tmp_path, capsys):
+        # an S line (a stack sample) is no record kind: the dump is rejected
+        # whole, at that line, rather than read without it
+        copy = shutil.copytree(run_dir / "dumps", tmp_path / "sampled")
+        victim = copy / "gc.dump"
+        lines = victim.read_text().split("\n")
+        at = lines.index("end_header") + 1
+        lines.insert(at, "S\t1\t3000\t15\tentity.py:20:host_node_main")
+        victim.write_text("\n".join(lines))
+        code = main(["analyze", "--dumps", str(copy), "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {victim}: line {at + 1}: unknown event record 'S'\n"
+        )
 
     def test_backwards_wall_clock_is_config_error(self, run_dir, tmp_path, capsys):
         copy = shutil.copytree(run_dir / "dumps", tmp_path / "regressed")
@@ -439,18 +460,18 @@ class TestStreaming:
         for path in sorted((run_dir / "dumps").glob("*.dump")):
             assert_streamed_equals_materialized(path)
 
-    def test_sampled_run_round_trips_byte_identically(self, sampled_run_dir, tmp_path):
-        samples = 0
-        for path in sorted((sampled_run_dir / "dumps").glob("*.dump")):
+    def test_run_round_trips_byte_identically(self, run_dir, tmp_path):
+        events = 0
+        for path in sorted((run_dir / "dumps").glob("*.dump")):
             dump = read_dump(path)
-            samples += sum(e.kind is EventKind.SAMPLE for e in dump.events)
+            events += len(dump.events)
             again = write_dump(
                 tmp_path / path.name, dump.meta, dump.calibration, dump.events,
                 dump.violations, dump.coarse,
             )
             assert again.read_bytes() == path.read_bytes(), path.name
             assert_streamed_equals_materialized(path)
-        assert samples > 0
+        assert events > 0
 
     def test_dump_readers_never_materialize(self, run_dir, tmp_path, monkeypatch):
         def refuse(path):
@@ -467,28 +488,6 @@ class TestStreaming:
         ]
         for i, args in enumerate(commands):
             assert main([*args, "--out", str(tmp_path / f"out{i}")]) == EXIT_OK, args
-
-    def test_line_table_scope_is_a_bracketed_site(self, tmp_path):
-        # a sample's leaf frame names the function at its current line,
-        # not at its definition: it must not be taken for the scope
-        main_fn = CodeSite("m.py", 1, "main", SiteKind.FUNCTION)
-        nap = CodeSite("m.py", 5, "nap", SiteKind.REGION)
-        events = [
-            ProfileEvent(1, CodeSite("m.py", 6, "main"), EventKind.SAMPLE, 5, 5,
-                         stack=(CodeSite("m.py", 6, "main"),)),
-            ProfileEvent(1, main_fn, EventKind.ENTER, 10, 10),
-            ProfileEvent(1, nap, EventKind.ENTER, 20, 20, tag="sleep"),
-            ProfileEvent(1, nap, EventKind.EXIT, 60, 21),
-            ProfileEvent(1, main_fn, EventKind.EXIT, 110, 22),
-        ]
-        (tmp_path / "dumps").mkdir()
-        write_dump(tmp_path / "dumps" / "m.dump", DumpMeta("r", "m"),
-                   ClockCalibration(1, 1, 0, 1), events)
-        out = tmp_path / "lines.csv"
-        code = main(["report", "--dumps", str(tmp_path), "--kind", "line_table",
-                     "--scope", "main", "--format", "csv", "--out", str(out)])
-        assert code == EXIT_OK
-        assert "nap" in out.read_text()
 
     def test_cli_import_leaves_the_testbed_out(self):
         probe = (

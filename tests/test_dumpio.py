@@ -42,7 +42,7 @@ META = DumpMeta(
     pid=4242,
     scenario="tiny",
     seed=7,
-    levels=("coarse", "function"),
+    levels=("coarse", "events"),
     scale_factor=0.01,
 )
 
@@ -52,14 +52,7 @@ def sample_events():
     return [
         ProfileEvent(1, f, EventKind.ENTER, 1000, 10, tag="poll"),
         ProfileEvent(1, f, EventKind.EXIT, 2500, 12),
-        ProfileEvent(
-            2,
-            site("spin"),
-            EventKind.SAMPLE,
-            3000,
-            15,
-            stack=(site("main"), site("spin")),
-        ),
+        ProfileEvent(1, f, EventKind.ENTER, 3000, 15, tag="poll"),
     ]
 
 
@@ -111,23 +104,23 @@ class TestRoundTrip:
         ]
         path = write_dump(tmp_path / "x.dump", META, CAL, events)
         lines = path.read_text().splitlines()
-        # a block opens only for enters and exits, a (site, tag) pair is
+        # a block opens when the thread changes, a (site, tag) pair is
         # defined once before its first use, equal pairs share a number, and
-        # clocks are deltas from the thread's last enter or exit, which a
-        # sample does not move
+        # clocks are deltas from the thread's last enter or exit, kept across
+        # its blocks
         assert lines[14:-3] == [
             "T\t1",
             "site\t0\tx.py\t971\tpoll_wait\tR\tpoll",
             "E\t1000\t10\t0",
             "site\t1\tx.py\t971\tpoll_wait\tR\t-",
             "X\t1500\t2\t1",
-            "S\t2\t3000\t15\tx.py:421:main|x.py:442:spin",
+            "E\t500\t3\t0",
             "T\t3",
             "site\t2\tx.py\t421\tmain\tF\t-",
             "E\t3100\t1\t2",
             "E\t100\t1\t1",
             "T\t1",
-            "E\t800\t4\t0",
+            "E\t300\t1\t0",
         ]
         assert lines[-3:] == ["end_events", "counts\t6\t0", "end_dump"]
         again = write_dump(tmp_path / "again.dump", META, CAL, read_dump(path).events)
@@ -208,7 +201,6 @@ class TestRoundTrip:
         recorder.enter(outer)
         with recorder.region(inner, tag="poll"):
             pass
-        recorder.record_sample(7, (outer, inner), 5, 6)
         recorder.exit(outer)
         recorder.exit(inner)  # unmatched: a violation
         worker = threading.Thread(target=recorder.enter, args=(outer,))
@@ -323,7 +315,7 @@ class TestErrors:
         [
             ("E\t1", "line 15: malformed 'E' record"),
             ("X\t1\tnot-a-time\t12\tf.py\t1\tpoll_wait\tR\t-", "line 15: malformed 'X' record"),
-            ("S\t2\t3000\t15\t", "line 15: malformed 'S' record"),
+            ("S\t2\t3000\t15\t", "line 15: unknown event record 'S'"),
             ("V\t1\t2\tf.py\t1\tsym\tQ\tdetail", "line 15: malformed 'V' record"),
             (
                 "T\t1\nsite\t0\tf.py\t1\tpoll_wait\tR\t-\nX\tnot-a-time\t12\t0",
@@ -377,18 +369,16 @@ class TestStream:
         with DumpStream(path) as stream:
             assert (stream.meta, stream.calibration) == (META, CAL)
             records = list(stream.records())
-        assert records[0] == ("E", f, 1000, 10, "poll", 1, None)
-        assert records[1] == ("X", f, 2500, 12, None, 1, None)
-        stack = (site("main"), site("spin"))
-        assert records[2] == ("S", site("spin"), 3000, 15, None, 2, stack)
+        assert records[0] == ("E", f, 1000, 10, "poll", 1)
+        assert records[1] == ("X", f, 2500, 12, None, 1)
+        assert records[2] == ("E", f, 3000, 15, "poll", 1)
         # equal sites are one object, so the walk may compare them with ``is``
-        assert records[0][1] is records[1][1] is records[3][1] is records[4][1]
-        assert records[2][1] is records[2][6][-1]
+        assert records[0][1] is records[1][1] is records[2][1] is records[3][1] is records[4][1]
 
     @pytest.mark.parametrize(
         "edit, needle",
         [
-            # lines 15-20 are T, site, E, site, X and S; the edits go in
+            # lines 15-20 are T, site, E, site, X and E; the edits go in
             # before the second site line
             (("\nsite\t1\t", "\nE\t1\t2\nsite\t1\t"), "line 18: malformed 'E' record"),
             (("\nsite\t1\t", "\nE\nsite\t1\t"), "line 18: malformed 'E' record"),
@@ -430,13 +420,6 @@ _ENTER_EXIT = st.tuples(
     _CLOCK,
     st.sampled_from([None, "poll", "a b"]),
 )
-_SAMPLE = st.builds(
-    lambda stack, wall, cpu, subject: ("S", stack[-1], wall, cpu, None, subject, tuple(stack)),
-    st.lists(st.sampled_from(_SITES), min_size=1, max_size=3),
-    _CLOCK,
-    _CLOCK,
-    st.sampled_from([1, 2]),
-)
 _VIOLATIONS = [NestingViolation(1, 999, site("oops", SiteKind.REGION), "detail")]
 _COARSE = CoarseBreakdown(1.5, 0.25, 0.125)
 
@@ -456,7 +439,7 @@ def _fresh(rec):
 class TestDumpWriter:
     @settings(max_examples=80, deadline=None)
     @given(
-        records=st.lists(st.one_of(_ENTER_EXIT, _ENTER_EXIT, _SAMPLE), max_size=40),
+        records=st.lists(_ENTER_EXIT, max_size=40),
         fresh_sites=st.booleans(),
         data=st.data(),
     )
@@ -502,7 +485,7 @@ class TestDumpWriter:
         expected = {t: [rec for u, rec in records if u == t] for t in (1, 2, 3)}
         seen = {t: [] for t in (1, 2, 3)}
         with DumpStream(path) as stream:
-            for code, where, wall, cpu, tag, thread, _ in stream.records():
+            for code, where, wall, cpu, tag, thread in stream.records():
                 seen[thread].append((code, where, wall, cpu, tag))
         assert seen == expected
         assert read_dump_info(path).events == len(records)

@@ -65,7 +65,7 @@ def standalone_entity(poll_timeout_ms=1.0, cls=Entity) -> Entity:
         role=NodeRole.HOST_NODE,
         manager_addr=None,
         poll_timeout_ms=poll_timeout_ms,
-        levels=("function",),
+        levels=("events",),
     )
     return cls(cfg)
 
@@ -217,7 +217,7 @@ class TestDumpStreaming:
             role=NodeRole.HOST_NODE,
             manager_addr=None,
             poll_timeout_ms=1.0,
-            levels=("function",),
+            levels=("events",),
             dump_dir=str(dump_dir),
         )
         return cls(cfg)
@@ -323,7 +323,7 @@ class TestRegistration:
             run_id="run-9",
             scenario_id="envtest",
             dump_dir="/tmp/dumps",
-            levels=("coarse", "function"),
+            levels=("coarse", "events"),
             seed=13,
             scale_factor=0.01,
             calibration=ClockCalibration(90, 8000, 1_000_000, 1500),
@@ -345,7 +345,7 @@ class TestRegistration:
 
 
 class TestSharedCalibration:
-    @pytest.mark.parametrize("levels", [("coarse", "function"), ("coarse",)])
+    @pytest.mark.parametrize("levels", [("coarse", "events"), ("coarse",)])
     def test_entity_with_calibration_never_calibrates(self, monkeypatch, levels):
         import planeprof.instrument.recorder as recorder_mod
 
@@ -358,11 +358,11 @@ class TestSharedCalibration:
         entity = build_entity(cfg)
         try:
             assert entity.rec.calibration == cal
-            assert entity.rec.enabled is ("function" in levels)
+            assert entity.rec.enabled is ("events" in levels)
         finally:
             entity._close_all()
 
-    def test_entity_import_leaves_orchestrator_and_sampler_out(self):
+    def test_entity_import_leaves_orchestrator_out(self):
         probe = (
             "import sys, planeprof.testbed.entity; "
             "print(sorted(m for m in sys.modules if m.startswith('planeprof')))"
@@ -373,7 +373,6 @@ class TestSharedCalibration:
         loaded = done.stdout.strip()
         assert "planeprof.testbed.entity" in loaded
         assert "planeprof.testbed.orchestrator" not in loaded
-        assert "planeprof.instrument.sampler" not in loaded
 
 
 class TestLiveness:
