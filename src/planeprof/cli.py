@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -101,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.mode is not None:
             overrides["entity_mode"] = args.mode
         if overrides:
-            config = config.with_overrides(**overrides)
+            config = replace(config, **overrides)
         levels = _parse_levels(args.levels)
         out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
         out.mkdir(parents=True, exist_ok=True)

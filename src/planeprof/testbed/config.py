@@ -5,11 +5,12 @@ mirror :class:`ScenarioConfig` fields; per-role startup sleeps use dotted
 keys (``post_start_sleep.name_server = 5``). Reports carry a scale factor
 relative to :data:`FULL_SCALE_USERS` simulated users so desk-scale numbers
 are never mistaken for full-scale ones.
+
+This module evaluates its annotations (no ``from __future__ import
+annotations``): each scenario key's value parses with its field's type.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Dict
@@ -107,12 +108,6 @@ class ScenarioConfig:
     def scale_factor(self) -> float:
         return self.client_users / FULL_SCALE_USERS
 
-    def sleep_for(self, role: str) -> float:
-        return self.post_start_sleep_s.get(role, 0.0)
-
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        return replace(self, **kwargs)
-
     def expected_counts(self) -> Dict[NodeRole, int]:
         """Entity counts this topology implies, per role."""
         return {
@@ -126,25 +121,8 @@ class ScenarioConfig:
         }
 
 
-_FIELD_TYPES = {
-    "scenario_id": str,
-    "zones": int,
-    "sites_per_zone": int,
-    "hosts_per_site": int,
-    "workflows_per_zone": int,
-    "client_users": int,
-    "run_duration_s": float,
-    "poll_timeout_ms": float,
-    "heartbeat_interval_s": float,
-    "heartbeat_miss_limit": int,
-    "workflow_load_high": float,
-    "workflow_load_low": float,
-    "client_request_rate": float,
-    "bootstrap_deadline_s": float,
-    "listen_port": int,
-    "entity_mode": str,
-    "seed": int,
-}
+# the scenario file's keys, in file order, each with the type its value parses to
+_KEYS = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "post_start_sleep_s"}
 
 
 def load_scenario(path: Path | str) -> ScenarioConfig:
@@ -163,9 +141,9 @@ def load_scenario(path: Path | str) -> ScenarioConfig:
             if role not in SLEEP_ROLES:
                 raise ScenarioError(f"line {lineno}: unknown sleep role {role!r}")
             sleeps[role] = float(value)
-        elif key in _FIELD_TYPES:
+        elif key in _KEYS:
             try:
-                kwargs[key] = _FIELD_TYPES[key](value)
+                kwargs[key] = _KEYS[key](value)
             except ValueError as exc:
                 raise ScenarioError(f"line {lineno}: bad value for {key}: {value!r}") from exc
         else:
@@ -178,7 +156,7 @@ def write_scenario(config: ScenarioConfig, path: Path | str) -> Path:
     """Write a scenario file that :func:`load_scenario` reads back equal."""
     path = Path(path)
     lines = []
-    for key in _FIELD_TYPES:
+    for key in _KEYS:
         value = getattr(config, key)
         lines.append(f"{key} = {value}")
     for role in SLEEP_ROLES:

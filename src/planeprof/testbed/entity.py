@@ -5,12 +5,15 @@ connections, decodes frames, dispatches messages, and runs its timers
 (heartbeats, paced client traffic, workflow bookkeeping) between polls.
 Entities share no state; everything crosses the wire.
 
-Process mode runs :func:`main` in a child interpreter
-(``python -m planeprof.testbed``) configured through
-environment variables (``HOST_NAME``, ``NAME_SERVER_ADDR``,
-``NAME_SERVER_UPDATE_PORT`` and friends, plus ``CLOCK_CALIBRATION``, the
-run's clock calibration as four comma-separated integers); thread mode
-constructs the same classes in-process. Either way each entity records its
+An :class:`EntityConfig` takes the settings named in
+:data:`SHARED_SETTINGS` from the scenario, defaults included. Process mode
+runs :func:`main` in a child interpreter (``python -m planeprof.testbed``)
+configured through the environment variables of one table,
+:data:`SPAWN_VARIABLES` (``HOST_NAME``, ``NAME_SERVER_ADDR``,
+``NAME_SERVER_UPDATE_PORT``, ``BOOTSTRAP_DEADLINE_S``, the registration
+deadline, ``CLOCK_CALIBRATION``, the run's clock calibration as four
+comma-separated integers, and the rest); thread mode constructs the same
+classes in-process. Either way each entity records its
 own profile with the run's calibration and streams it to one dump during
 the run: whenever its loop thread holds :data:`FLUSH_RECORDS` records, the
 loop drains and writes them, and clean shutdown writes the rest and
@@ -30,7 +33,7 @@ import socket
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -38,7 +41,7 @@ from planeprof.instrument.dumpio import DumpMeta, DumpWriter
 from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
 from planeprof.instrument.proctimes import ProcessTimer
 from planeprof.instrument.recorder import LEVELS, ClockCalibration, Recorder
-from planeprof.testbed.config import NodeRole
+from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.wire import (
     FrameDecoder,
     Message,
@@ -56,30 +59,6 @@ from planeprof.testbed.workflows import (
 
 Addr = Tuple[str, int]
 
-ENV_HOST_NAME = "HOST_NAME"
-ENV_NODE_ROLE = "NODE_ROLE"
-ENV_NODE_ZONE = "NODE_ZONE"
-ENV_NODE_SITE = "NODE_SITE"
-ENV_NODE_INDEX = "NODE_INDEX"
-ENV_MANAGER_ADDR = "MANAGER_ADDR"
-ENV_MANAGER_PORT = "MANAGER_PORT"
-ENV_NAME_SERVER_ADDR = "NAME_SERVER_ADDR"
-ENV_NAME_SERVER_UPDATE_PORT = "NAME_SERVER_UPDATE_PORT"
-ENV_LOCAL_CONTROLLER_ADDR = "LOCAL_CONTROLLER_ADDR"
-ENV_LOCAL_CONTROLLER_PORT = "LOCAL_CONTROLLER_PORT"
-ENV_POLL_TIMEOUT_MS = "POLL_TIMEOUT_MS"
-ENV_HEARTBEAT_INTERVAL_S = "HEARTBEAT_INTERVAL_S"
-ENV_HEARTBEAT_MISS_LIMIT = "HEARTBEAT_MISS_LIMIT"
-ENV_WORKFLOW_LOAD_HIGH = "WORKFLOW_LOAD_HIGH"
-ENV_WORKFLOW_LOAD_LOW = "WORKFLOW_LOAD_LOW"
-ENV_RUN_ID = "RUN_ID"
-ENV_SCENARIO_ID = "SCENARIO_ID"
-ENV_DUMP_DIR = "DUMP_DIR"
-ENV_PROFILE_LEVELS = "PROFILE_LEVELS"
-ENV_RNG_SEED = "RNG_SEED"
-ENV_SCALE_FACTOR = "SCALE_FACTOR"
-ENV_CLOCK_CALIBRATION = "CLOCK_CALIBRATION"
-
 # Instrumentation sites for the loop hot spots; line numbers are stable
 # labels, not live source positions.
 SITE_POLL = CodeSite("testbed/entity.py", 10, "poll_wait", SiteKind.REGION)
@@ -96,11 +75,25 @@ _MAIN_SITES = {
 # which bounds the recorder's memory whatever the run's length
 FLUSH_RECORDS = 512
 _JOB_DRAIN_GRACE_S = 2.0
-_REQUIRED = object()  # from_env default marker: the variable must be set
 
 
 class SocketClosed(Exception):
     """The entity's sockets are gone; the loop cannot continue."""
+
+
+# the settings an entity takes unchanged from its scenario; an entity
+# started by hand takes the scenario defaults
+SHARED_SETTINGS = (
+    "scenario_id",
+    "seed",
+    "poll_timeout_ms",
+    "heartbeat_interval_s",
+    "heartbeat_miss_limit",
+    "workflow_load_high",
+    "workflow_load_low",
+    "bootstrap_deadline_s",
+)
+_SCENARIO_DEFAULTS = ScenarioConfig()
 
 
 @dataclass
@@ -113,19 +106,20 @@ class EntityConfig:
     manager_addr: Optional[Addr] = None
     ns_addr: Optional[Addr] = None
     lc_addr: Optional[Addr] = None
-    poll_timeout_ms: float = 1.0
-    heartbeat_interval_s: float = 1.0
-    heartbeat_miss_limit: int = 3
-    workflow_load_high: float = 100.0
-    workflow_load_low: float = 10.0
+    scenario_id: str = _SCENARIO_DEFAULTS.scenario_id
+    seed: int = _SCENARIO_DEFAULTS.seed
+    poll_timeout_ms: float = _SCENARIO_DEFAULTS.poll_timeout_ms
+    heartbeat_interval_s: float = _SCENARIO_DEFAULTS.heartbeat_interval_s
+    heartbeat_miss_limit: int = _SCENARIO_DEFAULTS.heartbeat_miss_limit
+    workflow_load_high: float = _SCENARIO_DEFAULTS.workflow_load_high
+    workflow_load_low: float = _SCENARIO_DEFAULTS.workflow_load_low
+    # how long the entity tries to register with the manager
+    bootstrap_deadline_s: float = _SCENARIO_DEFAULTS.bootstrap_deadline_s
     run_id: str = "-"
-    scenario_id: str = "-"
     dump_dir: Optional[str] = None
     levels: Tuple[str, ...] = LEVELS
-    seed: int = 0
     scale_factor: float = 1.0
     listen_port: int = 0
-    register_deadline_s: float = 15.0
     # False when the entity shares a process (thread mode): coarse times
     # are then accounted per thread, not per process
     own_process: bool = True
@@ -133,84 +127,56 @@ class EntityConfig:
     calibration: Optional[ClockCalibration] = None
 
     def to_env(self) -> Dict[str, str]:
-        env = {
-            ENV_HOST_NAME: self.name,
-            ENV_NODE_ROLE: self.role.value,
-            ENV_NODE_ZONE: str(self.zone),
-            ENV_NODE_SITE: str(self.site),
-            ENV_NODE_INDEX: str(self.index),
-            ENV_POLL_TIMEOUT_MS: repr(self.poll_timeout_ms),
-            ENV_HEARTBEAT_INTERVAL_S: repr(self.heartbeat_interval_s),
-            ENV_HEARTBEAT_MISS_LIMIT: str(self.heartbeat_miss_limit),
-            ENV_WORKFLOW_LOAD_HIGH: repr(self.workflow_load_high),
-            ENV_WORKFLOW_LOAD_LOW: repr(self.workflow_load_low),
-            ENV_RUN_ID: self.run_id,
-            ENV_SCENARIO_ID: self.scenario_id,
-            ENV_PROFILE_LEVELS: ",".join(self.levels),
-            ENV_RNG_SEED: str(self.seed),
-            ENV_SCALE_FACTOR: repr(self.scale_factor),
-        }
-        if self.manager_addr:
-            env[ENV_MANAGER_ADDR] = self.manager_addr[0]
-            env[ENV_MANAGER_PORT] = str(self.manager_addr[1])
-        if self.ns_addr:
-            env[ENV_NAME_SERVER_ADDR] = self.ns_addr[0]
-            env[ENV_NAME_SERVER_UPDATE_PORT] = str(self.ns_addr[1])
-        if self.lc_addr:
-            env[ENV_LOCAL_CONTROLLER_ADDR] = self.lc_addr[0]
-            env[ENV_LOCAL_CONTROLLER_PORT] = str(self.lc_addr[1])
-        if self.dump_dir:
-            env[ENV_DUMP_DIR] = self.dump_dir
-        if self.calibration is not None:
-            c = self.calibration
-            env[ENV_CLOCK_CALIBRATION] = (
-                f"{c.wall_cost_ns},{c.cpu_cost_ns},{c.cpu_refresh_wall_ns},{c.pair_overhead_ns}"
-            )
+        env = {}
+        for variable, name, _ in SPAWN_VARIABLES:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(variable, tuple):
+                env[variable[0]], env[variable[1]] = value[0], str(value[1])
+            else:
+                env[variable] = _env_text(value)
         return env
 
     @classmethod
     def from_env(cls, env: Dict[str, str]) -> "EntityConfig":
-        """Parse spawn variables; a missing or malformed one raises a
-        ``ValueError`` that names it."""
-
-        def get(key: str, parse: Callable[[str], Any] = str, default: Any = _REQUIRED) -> Any:
-            raw = env.get(key)
-            if raw is None:
-                if default is _REQUIRED:
-                    raise ValueError(f"{key} is not set")
-                return default
+        """Parse spawn variables; an unset variable leaves its field's
+        default, and a malformed one, or an unset one whose field has no
+        default, raises a ``ValueError`` that names it."""
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        kwargs: Dict[str, Any] = {}
+        for variable, name, parse in SPAWN_VARIABLES:
+            pair = variable if isinstance(variable, tuple) else (variable,)
+            if not all(v in env for v in pair):
+                if name in required:
+                    raise ValueError(f"{variable} is not set")
+                continue
+            key, raw = pair[-1], env[pair[-1]]
             try:
-                return parse(raw)
+                value = parse(raw)
             except ValueError as exc:
                 raise ValueError(f"{key}={raw!r}: {exc}") from None
+            kwargs[name] = (env[pair[0]], value) if len(pair) == 2 else value
+        return cls(**kwargs)
 
-        def addr(host_key: str, port_key: str) -> Optional[Addr]:
-            if host_key in env and port_key in env:
-                return (env[host_key], get(port_key, int))
-            return None
 
-        return cls(
-            name=get(ENV_HOST_NAME),
-            role=get(ENV_NODE_ROLE, NodeRole),
-            zone=get(ENV_NODE_ZONE, int, 1),
-            site=get(ENV_NODE_SITE, int, 1),
-            index=get(ENV_NODE_INDEX, int, 1),
-            manager_addr=addr(ENV_MANAGER_ADDR, ENV_MANAGER_PORT),
-            ns_addr=addr(ENV_NAME_SERVER_ADDR, ENV_NAME_SERVER_UPDATE_PORT),
-            lc_addr=addr(ENV_LOCAL_CONTROLLER_ADDR, ENV_LOCAL_CONTROLLER_PORT),
-            poll_timeout_ms=get(ENV_POLL_TIMEOUT_MS, float, 1.0),
-            heartbeat_interval_s=get(ENV_HEARTBEAT_INTERVAL_S, float, 1.0),
-            heartbeat_miss_limit=get(ENV_HEARTBEAT_MISS_LIMIT, int, 3),
-            workflow_load_high=get(ENV_WORKFLOW_LOAD_HIGH, float, 100.0),
-            workflow_load_low=get(ENV_WORKFLOW_LOAD_LOW, float, 10.0),
-            run_id=get(ENV_RUN_ID, str, "-"),
-            scenario_id=get(ENV_SCENARIO_ID, str, "-"),
-            dump_dir=get(ENV_DUMP_DIR, str, None),
-            levels=tuple(x for x in get(ENV_PROFILE_LEVELS, str, "").split(",") if x),
-            seed=get(ENV_RNG_SEED, int, 0),
-            scale_factor=get(ENV_SCALE_FACTOR, float, 1.0),
-            calibration=get(ENV_CLOCK_CALIBRATION, _parse_calibration, None),
-        )
+def open_dump(cfg: EntityConfig, entity: str, calibration: ClockCalibration) -> DumpWriter:
+    """Start ``<cfg.dump_dir>/<entity>.dump``, its header taken from ``cfg``."""
+    meta = DumpMeta(
+        run_id=cfg.run_id,
+        entity=entity,
+        role=cfg.role.value,
+        pid=os.getpid(),
+        scenario=cfg.scenario_id,
+        seed=cfg.seed,
+        levels=cfg.levels,
+        scale_factor=cfg.scale_factor,
+    )
+    return DumpWriter(Path(cfg.dump_dir) / f"{entity}.dump", meta, calibration)
+
+
+def _parse_levels(raw: str) -> Tuple[str, ...]:
+    return tuple(x for x in raw.split(",") if x)
 
 
 def _parse_calibration(raw: str) -> ClockCalibration:
@@ -218,6 +184,47 @@ def _parse_calibration(raw: str) -> ClockCalibration:
     if len(values) != 4 or min(values) < 0:
         raise ValueError("expected four non-negative integers")
     return ClockCalibration(*values)
+
+
+def _env_text(value: Any) -> str:
+    """A field's value as its spawn variable's text."""
+    if isinstance(value, NodeRole):
+        return value.value
+    if isinstance(value, ClockCalibration):
+        value = astuple(value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+# How a process-mode entity gets its config: one (variable, EntityConfig
+# field, parser) row per field. An address field's row names its (host,
+# port) variable pair, and its parser reads the port. ``listen_port`` and
+# ``own_process`` are not carried: a spawned entity listens on a free port
+# and has its own process.
+SPAWN_VARIABLES: Tuple[Tuple[Any, str, Callable[[str], Any]], ...] = (
+    ("HOST_NAME", "name", str),
+    ("NODE_ROLE", "role", NodeRole),
+    ("NODE_ZONE", "zone", int),
+    ("NODE_SITE", "site", int),
+    ("NODE_INDEX", "index", int),
+    (("MANAGER_ADDR", "MANAGER_PORT"), "manager_addr", int),
+    (("NAME_SERVER_ADDR", "NAME_SERVER_UPDATE_PORT"), "ns_addr", int),
+    (("LOCAL_CONTROLLER_ADDR", "LOCAL_CONTROLLER_PORT"), "lc_addr", int),
+    ("SCENARIO_ID", "scenario_id", str),
+    ("RNG_SEED", "seed", int),
+    ("POLL_TIMEOUT_MS", "poll_timeout_ms", float),
+    ("HEARTBEAT_INTERVAL_S", "heartbeat_interval_s", float),
+    ("HEARTBEAT_MISS_LIMIT", "heartbeat_miss_limit", int),
+    ("WORKFLOW_LOAD_HIGH", "workflow_load_high", float),
+    ("WORKFLOW_LOAD_LOW", "workflow_load_low", float),
+    ("BOOTSTRAP_DEADLINE_S", "bootstrap_deadline_s", float),
+    ("RUN_ID", "run_id", str),
+    ("DUMP_DIR", "dump_dir", str),
+    ("PROFILE_LEVELS", "levels", _parse_levels),
+    ("SCALE_FACTOR", "scale_factor", float),
+    ("CLOCK_CALIBRATION", "calibration", _parse_calibration),
+)
 
 
 class Connection:
@@ -433,17 +440,8 @@ class Entity:
 
     def _register_with_manager(self) -> None:
         assert self.cfg.manager_addr is not None
-        deadline = time.monotonic() + self.cfg.register_deadline_s
-        while True:
-            try:
-                sock = socket.create_connection(self.cfg.manager_addr, timeout=2.0)
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._mgr = self._track(sock, self.cfg.manager_addr)
+        deadline = time.monotonic() + self.cfg.bootstrap_deadline_s
+        self._mgr = self.connect(self.cfg.manager_addr, self.cfg.bootstrap_deadline_s)
         self.send(
             self._mgr,
             MsgType.REGISTER,
@@ -501,20 +499,7 @@ class Entity:
         """
         main_site = _MAIN_SITES[self.role]
         if self.cfg.dump_dir:
-            self.dump = DumpWriter(
-                Path(self.cfg.dump_dir) / f"{self.name}.dump",
-                DumpMeta(
-                    run_id=self.cfg.run_id,
-                    entity=self.name,
-                    role=self.role.value,
-                    pid=os.getpid(),
-                    scenario=self.cfg.scenario_id,
-                    seed=self.cfg.seed,
-                    levels=self.cfg.levels,
-                    scale_factor=self.cfg.scale_factor,
-                ),
-                self.rec.calibration,
-            )
+            self.dump = open_dump(self.cfg, self.name, self.rec.calibration)
         self._timer = ProcessTimer("process" if self.cfg.own_process else "thread")
         self.rec.enter(main_site)
         try:
@@ -973,7 +958,7 @@ def build_entity(cfg: EntityConfig) -> Entity:
 
 def main() -> int:
     """Process-mode entry point: configuration comes from the environment."""
-    name = os.environ.get(ENV_HOST_NAME, "entity")
+    name = os.environ.get("HOST_NAME", "entity")
     try:
         build_entity(EntityConfig.from_env(dict(os.environ))).run()
     except Exception as exc:  # noqa: BLE001 - report and die visibly

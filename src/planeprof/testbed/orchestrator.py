@@ -28,17 +28,19 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from planeprof.instrument.dumpio import DumpMeta, DumpWriter
+from planeprof.instrument.dumpio import DumpWriter
 from planeprof.instrument.events import TAG_SPAWN, CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakdown_from_rusage
 from planeprof.instrument.recorder import LEVELS, Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.entity import (
+    SHARED_SETTINGS,
     Addr,
     Connection,
     Entity,
     EntityConfig,
     build_entity,
+    open_dump,
 )
 from planeprof.testbed.wire import Message, MsgType
 from planeprof.testbed.workflows import LoadReport, WorkflowAction
@@ -301,10 +303,6 @@ class ManagerService(Entity):
 class EntityHandle:
     name: str
     role: NodeRole
-    zone: int
-    site: int
-    index: int
-    mode: str
     popen: Optional[subprocess.Popen] = None
     thread: Optional[threading.Thread] = None
     entity: Optional[Entity] = None
@@ -312,10 +310,6 @@ class EntityHandle:
     killed: bool = False
     coarse: Optional[CoarseBreakdown] = None
     exit_code: Optional[int] = None
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.popen.pid if self.popen is not None else None
 
 
 @dataclass(frozen=True)
@@ -341,7 +335,6 @@ class RunningTopology:
         self.run_dir = run_dir
         self.rec = recorder
         self.levels = levels
-        self.mode = config.entity_mode
         self.manager: Optional[ManagerService] = None
         self._mgr_thread: Optional[threading.Thread] = None
         self.handles: Dict[str, EntityHandle] = {}
@@ -534,21 +527,6 @@ class RunningTopology:
             self.dump_paths = sorted(self.dumps_dir.glob("*.dump"))
         return {h.name: h.coarse for h in self.handles.values()}
 
-    def _open_orchestrator_dump(self) -> None:
-        if self.dumps_dir is None:
-            return
-        meta = DumpMeta(
-            run_id=self.run_id,
-            entity="orchestrator",
-            role=NodeRole.GLOBAL_MANAGER.value,
-            pid=os.getpid(),
-            scenario=self.config.scenario_id,
-            seed=self.config.seed,
-            levels=self.levels,
-            scale_factor=self.config.scale_factor,
-        )
-        self.dump = DumpWriter(self.dumps_dir / "orchestrator.dump", meta, self.rec.calibration)
-
     def _write_orchestrator_dump(self) -> None:
         """Write what the manager loop has not streamed, and complete the dump."""
         if self.dump is None:
@@ -558,56 +536,27 @@ class RunningTopology:
         self.dump.close(self.rec.violations, coarse)
 
 
-def _entity_config(
-    topo: RunningTopology,
-    name: str,
-    role: NodeRole,
-    zone: int,
-    site: int,
-    index: int,
-    ns_addr: Optional[Addr],
-    lc_addr: Optional[Addr] = None,
-) -> EntityConfig:
+def _entity_config(topo: RunningTopology, name: str, role: NodeRole, **fields) -> EntityConfig:
+    """Every entity's config, the manager's included: the scenario's shared
+    settings and this run's, then ``fields``."""
     cfg = topo.config
-    assert topo.manager is not None
-    return EntityConfig(
-        name=name,
-        role=role,
-        zone=zone,
-        site=site,
-        index=index,
-        manager_addr=topo.manager.addr,
-        ns_addr=ns_addr,
-        lc_addr=lc_addr,
-        own_process=(topo.mode == "process"),
-        poll_timeout_ms=cfg.poll_timeout_ms,
-        heartbeat_interval_s=cfg.heartbeat_interval_s,
-        heartbeat_miss_limit=cfg.heartbeat_miss_limit,
-        workflow_load_high=cfg.workflow_load_high,
-        workflow_load_low=cfg.workflow_load_low,
+    run = dict(
         run_id=topo.run_id,
-        scenario_id=cfg.scenario_id,
-        dump_dir=str(topo.dumps_dir) if topo.dumps_dir else None,
         levels=topo.levels,
-        seed=cfg.seed,
         scale_factor=cfg.scale_factor,
-        register_deadline_s=cfg.bootstrap_deadline_s,
+        own_process=cfg.entity_mode == "process",
+        dump_dir=str(topo.dumps_dir) if topo.dumps_dir else None,
         calibration=topo.rec.calibration,
     )
+    shared = {key: getattr(cfg, key) for key in SHARED_SETTINGS}
+    return EntityConfig(name=name, role=role, **{**shared, **run, **fields})
 
 
 def _spawn(topo: RunningTopology, ecfg: EntityConfig) -> EntityHandle:
-    handle = EntityHandle(
-        name=ecfg.name,
-        role=ecfg.role,
-        zone=ecfg.zone,
-        site=ecfg.site,
-        index=ecfg.index,
-        mode=topo.mode,
-    )
+    handle = EntityHandle(name=ecfg.name, role=ecfg.role)
     with topo.rec.region(SITE_SPAWN, tag=TAG_SPAWN):
         handle.spawned_at = time.monotonic()
-        if topo.mode == "process":
+        if topo.config.entity_mode == "process":
             env = {**os.environ, **ecfg.to_env()}
             if topo.run_dir is not None:
                 log_dir = topo.run_dir / "logs"
@@ -661,17 +610,10 @@ def _wait_registered(topo: RunningTopology, names: List[str], phase: BootstrapPh
             missing = set(names) - topo.manager.registered_names()
             if not missing:
                 return
-            if time.monotonic() >= deadline:
-                _check_spawn_health(topo, sorted(missing))
-                raise BootstrapTimeout(phase, f"unregistered: {sorted(missing)}")
             _check_spawn_health(topo, sorted(missing))
+            if time.monotonic() >= deadline:
+                raise BootstrapTimeout(phase, f"unregistered: {sorted(missing)}")
             time.sleep(0.01)
-
-
-def _post_start_sleep(topo: RunningTopology, role_key: str) -> None:
-    seconds = topo.config.sleep_for(role_key)
-    if seconds > 0:
-        topo.rec.sleep(seconds)
 
 
 def bootstrap(
@@ -696,7 +638,8 @@ def bootstrap(
     )
     if topo.dumps_dir is not None:
         topo.dumps_dir.mkdir(parents=True, exist_ok=True)
-    topo._open_orchestrator_dump()
+        gm = _entity_config(topo, "gm", NodeRole.GLOBAL_MANAGER)
+        topo.dump = open_dump(gm, "orchestrator", rec.calibration)
     topo.mark_phase(BootstrapPhase.IDLE)
     try:
         _bootstrap_phases(topo)
@@ -706,116 +649,87 @@ def bootstrap(
     return topo
 
 
+def _lc_name(zone: int, site: int) -> str:
+    return f"lc-z{zone}s{site}"
+
+
+def _groups(cfg: ScenarioConfig) -> List[Tuple[BootstrapPhase, str, List[tuple]]]:
+    """The role groups bootstrap spawns after the manager, in
+    :data:`SLEEP_ROLES` order: (phase, sleep key, members), each member
+    (name, role, zone, site, index)."""
+    zones = range(1, cfg.zones + 1)
+    sites = [(z, s) for z in zones for s in range(1, cfg.sites_per_zone + 1)]
+    wms = [(z, w) for z in zones for w in range(1, cfg.workflows_per_zone + 1)]
+    hosts = [(z, s, h) for z, s in sites for h in range(1, cfg.hosts_per_site + 1)]
+    return [
+        (
+            BootstrapPhase.GLOBAL_CONTROLLER_UP,
+            "global_controller",
+            [("gc", NodeRole.GLOBAL_CONTROLLER, 1, 0, 1)],
+        ),
+        (BootstrapPhase.NAME_SERVER_UP, "name_server", [("ns", NodeRole.NAME_SERVER, 1, 0, 1)]),
+        (
+            BootstrapPhase.LOCAL_CONTROLLERS_UP,
+            "local_controller",
+            [(_lc_name(z, s), NodeRole.LOCAL_CONTROLLER, z, s, 1) for z, s in sites],
+        ),
+        (
+            BootstrapPhase.WORKFLOW_MANAGERS_UP,
+            "workflow_manager",
+            [(f"wm-z{z}w{w}", NodeRole.WORKFLOW_MANAGER, z, 0, w) for z, w in wms],
+        ),
+        (
+            BootstrapPhase.HOSTS_UP,
+            "host_group",
+            [(f"host-z{z}s{s}h{h}", NodeRole.HOST_NODE, z, s, h) for z, s, h in hosts],
+        ),
+        (
+            BootstrapPhase.CLIENTS_UP,
+            "client_host",
+            [("client-1", NodeRole.CLIENT_HOST, 1, 0, 1)] if cfg.client_users > 0 else [],
+        ),
+    ]
+
+
 def _bootstrap_phases(topo: RunningTopology) -> None:
     cfg = topo.config
     rec = topo.rec
 
     with rec.region(PHASE_SITES[BootstrapPhase.MANAGER_UP]):
-        mgr_cfg = EntityConfig(
-            name="gm",
-            role=NodeRole.GLOBAL_MANAGER,
-            manager_addr=None,
-            poll_timeout_ms=cfg.poll_timeout_ms,
-            heartbeat_interval_s=cfg.heartbeat_interval_s,
-            heartbeat_miss_limit=cfg.heartbeat_miss_limit,
-            run_id=topo.run_id,
-            scenario_id=cfg.scenario_id,
-            seed=cfg.seed,
-            scale_factor=cfg.scale_factor,
-            listen_port=cfg.listen_port,
+        mgr_cfg = _entity_config(
+            topo, "gm", NodeRole.GLOBAL_MANAGER, dump_dir=None, listen_port=cfg.listen_port
         )
         try:
-            topo.manager = ManagerService(mgr_cfg, rec, topo.dump)
+            manager = topo.manager = ManagerService(mgr_cfg, rec, topo.dump)
         except OSError as exc:
             raise PortUnavailable(f"cannot bind manager port {cfg.listen_port}: {exc}") from exc
-        topo._mgr_thread = threading.Thread(
-            target=topo.manager.run, name="manager-loop", daemon=True
-        )
+        topo._mgr_thread = threading.Thread(target=manager.run, name="manager-loop", daemon=True)
         topo._mgr_thread.start()
     topo.mark_phase(BootstrapPhase.MANAGER_UP)
 
-    with rec.region(PHASE_SITES[BootstrapPhase.GLOBAL_CONTROLLER_UP]):
-        _spawn(topo, _entity_config(topo, "gc", NodeRole.GLOBAL_CONTROLLER, 1, 0, 1, None))
-        _post_start_sleep(topo, "global_controller")
-        _wait_registered(topo, ["gc"], BootstrapPhase.GLOBAL_CONTROLLER_UP)
-    topo.mark_phase(BootstrapPhase.GLOBAL_CONTROLLER_UP)
-
-    with rec.region(PHASE_SITES[BootstrapPhase.NAME_SERVER_UP]):
-        _spawn(topo, _entity_config(topo, "ns", NodeRole.NAME_SERVER, 1, 0, 1, None))
-        _post_start_sleep(topo, "name_server")
-        _wait_registered(topo, ["ns"], BootstrapPhase.NAME_SERVER_UP)
-    topo.mark_phase(BootstrapPhase.NAME_SERVER_UP)
-    assert topo.manager is not None
-    ns_addr = topo.manager.ns_service_addr
-
-    with rec.region(PHASE_SITES[BootstrapPhase.LOCAL_CONTROLLERS_UP]):
-        lc_names = []
-        for zone in range(1, cfg.zones + 1):
-            for site in range(1, cfg.sites_per_zone + 1):
-                name = f"lc-z{zone}s{site}"
-                lc_names.append(name)
-                _spawn(
-                    topo,
-                    _entity_config(
-                        topo, name, NodeRole.LOCAL_CONTROLLER, zone, site, 1, ns_addr
-                    ),
-                )
-        _post_start_sleep(topo, "local_controller")
-        _wait_registered(topo, lc_names, BootstrapPhase.LOCAL_CONTROLLERS_UP)
-    topo.mark_phase(BootstrapPhase.LOCAL_CONTROLLERS_UP)
-
-    with rec.region(PHASE_SITES[BootstrapPhase.WORKFLOW_MANAGERS_UP]):
-        wm_names = []
-        for zone in range(1, cfg.zones + 1):
-            for w in range(1, cfg.workflows_per_zone + 1):
-                name = f"wm-z{zone}w{w}"
-                wm_names.append(name)
-                _spawn(
-                    topo,
-                    _entity_config(
-                        topo, name, NodeRole.WORKFLOW_MANAGER, zone, 0, w, ns_addr
-                    ),
-                )
-        _post_start_sleep(topo, "workflow_manager")
-        _wait_registered(topo, wm_names, BootstrapPhase.WORKFLOW_MANAGERS_UP)
-    topo.mark_phase(BootstrapPhase.WORKFLOW_MANAGERS_UP)
-
-    with rec.region(PHASE_SITES[BootstrapPhase.HOSTS_UP]):
-        host_names = []
-        for zone in range(1, cfg.zones + 1):
-            for site in range(1, cfg.sites_per_zone + 1):
-                lc_addr = topo.entity_addr(f"lc-z{zone}s{site}")
-                for h in range(1, cfg.hosts_per_site + 1):
-                    name = f"host-z{zone}s{site}h{h}"
-                    host_names.append(name)
-                    _spawn(
+    for phase, sleep_key, members in _groups(cfg):
+        with rec.region(PHASE_SITES[phase]):
+            # an empty client group neither sleeps nor waits; every other group does
+            if members or phase is not BootstrapPhase.CLIENTS_UP:
+                for name, role, zone, site, index in members:
+                    lc = _lc_name(zone, site) if role is NodeRole.HOST_NODE else None
+                    ecfg = _entity_config(
                         topo,
-                        _entity_config(
-                            topo,
-                            name,
-                            NodeRole.HOST_NODE,
-                            zone,
-                            site,
-                            h,
-                            ns_addr,
-                            lc_addr=lc_addr,
-                        ),
+                        name,
+                        role,
+                        zone=zone,
+                        site=site,
+                        index=index,
+                        manager_addr=manager.addr,
+                        ns_addr=manager.ns_service_addr,
+                        lc_addr=topo.entity_addr(lc) if lc else None,
                     )
-        _post_start_sleep(topo, "host_group")
-        _wait_registered(topo, host_names, BootstrapPhase.HOSTS_UP)
-    topo.mark_phase(BootstrapPhase.HOSTS_UP)
-
-    with rec.region(PHASE_SITES[BootstrapPhase.CLIENTS_UP]):
-        client_names = []
-        if cfg.client_users > 0:
-            client_names.append("client-1")
-            _spawn(
-                topo,
-                _entity_config(topo, "client-1", NodeRole.CLIENT_HOST, 1, 0, 1, ns_addr),
-            )
-            _post_start_sleep(topo, "client_host")
-            _wait_registered(topo, client_names, BootstrapPhase.CLIENTS_UP)
-    topo.mark_phase(BootstrapPhase.CLIENTS_UP)
+                    _spawn(topo, ecfg)
+                seconds = cfg.post_start_sleep_s[sleep_key]
+                if seconds > 0:
+                    rec.sleep(seconds)
+                _wait_registered(topo, [name for name, *_ in members], phase)
+        topo.mark_phase(phase)
 
     with rec.region(PHASE_SITES[BootstrapPhase.RUNNING]):
         _wait_workflows_active(topo)

@@ -6,6 +6,7 @@ exercises process mode with real child processes, dumps and rusage.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import subprocess
 import sys
@@ -105,6 +106,40 @@ class TestBootstrap:
             assert counts.get(role, 0) == expected[role], role
         assert counts[NodeRole.HOST_NODE] == 14
         assert counts[NodeRole.LOCAL_CONTROLLER] == 2
+
+    def test_multi_zone_topology(self, topo):
+        t = topo(zones=2, sites_per_zone=2, hosts_per_site=1, workflows_per_zone=1)
+        assert list(t.handles) == [
+            "gc",
+            "ns",
+            "lc-z1s1",
+            "lc-z1s2",
+            "lc-z2s1",
+            "lc-z2s2",
+            "wm-z1w1",
+            "wm-z2w1",
+            "host-z1s1h1",
+            "host-z1s2h1",
+            "host-z2s1h1",
+            "host-z2s2h1",
+            "client-1",
+        ]
+        assert list(t.timeline) == list(BootstrapPhase)
+        entities = {name: h.entity for name, h in t.handles.items()}
+        ns_addr = entities["ns"].addr
+        for name, entity in entities.items():
+            assert entity.cfg.ns_addr == (None if name in ("gc", "ns") else ns_addr), name
+        sites = [(z, s) for z in (1, 2) for s in (1, 2)]
+        for z, s in sites:
+            assert entities[f"host-z{z}s{s}h1"].cfg.lc_addr == entities[f"lc-z{z}s{s}"].addr
+        # a host registers with its controller after the manager acks it
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(
+            entities[f"lc-z{z}s{s}"].hosts_seen for z, s in sites
+        ):
+            time.sleep(0.02)
+        for z, s in sites:
+            assert entities[f"lc-z{z}s{s}"].hosts_seen == {f"host-z{z}s{s}h1"}
 
     def test_phase_timestamps_strictly_increase(self, topo):
         t = topo()
@@ -295,7 +330,7 @@ class TestRegistration:
             role=NodeRole.HOST_NODE,
             manager_addr=silent.getsockname(),
             poll_timeout_ms=5.0,
-            register_deadline_s=0.4,
+            bootstrap_deadline_s=0.4,
         )
         entity = Entity(cfg)
         try:
@@ -306,41 +341,70 @@ class TestRegistration:
             silent.close()
 
     def test_entity_env_roundtrip(self):
-        cfg = EntityConfig(
+        # one non-default value per field; a field added without a spawn
+        # variable must either get one or join NOT_CARRIED
+        NOT_CARRIED = {"listen_port", "own_process"}
+        values = dict(
             name="host-z1s2h3",
             role=NodeRole.HOST_NODE,
-            zone=1,
+            zone=2,
             site=2,
             index=3,
             manager_addr=("127.0.0.1", 5001),
             ns_addr=("127.0.0.1", 5002),
             lc_addr=("127.0.0.1", 5003),
+            scenario_id="envtest",
+            seed=13,
             poll_timeout_ms=2.5,
             heartbeat_interval_s=0.7,
             heartbeat_miss_limit=4,
             workflow_load_high=80.0,
             workflow_load_low=8.0,
+            bootstrap_deadline_s=30.0,
             run_id="run-9",
-            scenario_id="envtest",
             dump_dir="/tmp/dumps",
-            levels=("coarse", "events"),
-            seed=13,
+            levels=("events",),
             scale_factor=0.01,
             calibration=ClockCalibration(90, 8000, 1_000_000, 1500),
         )
+        assert set(values) == {f.name for f in dataclasses.fields(EntityConfig)} - NOT_CARRIED
+        for f in dataclasses.fields(EntityConfig):
+            if f.name in values and f.default is not dataclasses.MISSING:
+                assert values[f.name] != f.default, f.name
+        cfg = EntityConfig(**values)
         env = cfg.to_env()
         assert env["HOST_NAME"] == "host-z1s2h3"
         assert env["NAME_SERVER_ADDR"] == "127.0.0.1"
         assert env["NAME_SERVER_UPDATE_PORT"] == "5002"
+        assert env["BOOTSTRAP_DEADLINE_S"] == "30.0"
         assert env["CLOCK_CALIBRATION"] == "90,8000,1000000,1500"
         back = EntityConfig.from_env(env)
         assert back == cfg
 
-    @pytest.mark.parametrize("raw", ["1,2,3", "1,2,3,x", "1,2,3,-4", ""])
-    def test_malformed_calibration_names_the_variable(self, raw):
+    @pytest.mark.parametrize(
+        "variable, raw",
+        [
+            *(
+                pytest.param("CLOCK_CALIBRATION", raw, id=raw)
+                for raw in ["1,2,3", "1,2,3,x", "1,2,3,-4", ""]
+            ),
+            pytest.param("NODE_ZONE", "two", id="int"),
+            pytest.param("POLL_TIMEOUT_MS", "1ms", id="float"),
+            pytest.param("NODE_ROLE", "router", id="role"),
+            pytest.param("NAME_SERVER_UPDATE_PORT", "http", id="port"),
+        ],
+    )
+    def test_malformed_calibration_names_the_variable(self, variable, raw):
+        cfg = EntityConfig(name="h", role=NodeRole.HOST_NODE, ns_addr=("127.0.0.1", 5002))
+        env = cfg.to_env()
+        env[variable] = raw
+        with pytest.raises(ValueError, match=f"^{variable}="):
+            EntityConfig.from_env(env)
+
+    def test_missing_required_variable_is_named(self):
         env = EntityConfig(name="h", role=NodeRole.HOST_NODE).to_env()
-        env["CLOCK_CALIBRATION"] = raw
-        with pytest.raises(ValueError, match="CLOCK_CALIBRATION"):
+        del env["NODE_ROLE"]
+        with pytest.raises(ValueError, match="^NODE_ROLE is not set$"):
             EntityConfig.from_env(env)
 
 
@@ -566,10 +630,6 @@ class TestProcessMode:
             t.handles[name] = EntityHandle(
                 name=name,
                 role=NodeRole.HOST_NODE,
-                zone=1,
-                site=1,
-                index=1,
-                mode="process",
                 popen=subprocess.Popen([sys.executable, "-c", code]),
                 spawned_at=time.monotonic(),
             )
