@@ -1,51 +1,10 @@
-"""Percentage arithmetic, time-category classification and hotspot findings."""
+"""Percentage arithmetic, time-category classification and hotspot findings.
 
-from planeprof.analysis.categories import (
-    CategoryBreakdown,
-    CategoryRules,
-    TimeCategory,
-    classify,
-    load_rules,
-)
-from planeprof.analysis.hotspots import (
-    CategoryDelta,
-    CompareReport,
-    HotspotFinding,
-    ScenarioMismatch,
-    SiteDelta,
-    compare,
-    find_hotspots,
-)
-from planeprof.analysis.percentages import (
-    CoarsePercentages,
-    LengthMismatch,
-    ShareReport,
-    ZeroElapsed,
-    ZeroRuntime,
-    coarse_percentages,
-    round_half_up,
-    share_of_runtime,
-)
+Import the submodules directly; this package re-exports only the names the
+benchmark's layer timings use.
+"""
 
-__all__ = [
-    "CategoryBreakdown",
-    "CategoryDelta",
-    "CategoryRules",
-    "CoarsePercentages",
-    "CompareReport",
-    "HotspotFinding",
-    "LengthMismatch",
-    "ScenarioMismatch",
-    "ShareReport",
-    "SiteDelta",
-    "TimeCategory",
-    "ZeroElapsed",
-    "ZeroRuntime",
-    "classify",
-    "coarse_percentages",
-    "compare",
-    "find_hotspots",
-    "load_rules",
-    "round_half_up",
-    "share_of_runtime",
-]
+from planeprof.analysis.categories import classify
+from planeprof.analysis.hotspots import compare, find_hotspots
+
+__all__ = ["classify", "compare", "find_hotspots"]

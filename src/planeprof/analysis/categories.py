@@ -55,15 +55,25 @@ class CategoryRules:
         return None
 
 
+class RulesError(Exception):
+    """A rules file line is not ``pattern = category``."""
+
+
 def load_rules(path: Path | str) -> CategoryRules:
     """Read a rules file: one ``pattern = category`` per line."""
     patterns: List[Tuple[str, TimeCategory]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        pattern, _, category = line.partition("=")
-        patterns.append((pattern.strip(), TimeCategory(category.strip())))
+        pattern, sep, category = line.partition("=")
+        try:
+            if not sep:
+                raise ValueError("expected 'pattern = category'")
+            patterns.append((pattern.strip(), TimeCategory(category.strip())))
+        except ValueError as exc:
+            raise RulesError(f"{path}:{lineno}: {exc}") from None
     return CategoryRules(patterns=tuple(patterns))
 
 

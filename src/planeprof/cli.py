@@ -10,11 +10,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from planeprof.analysis.categories import CategoryRules, load_rules
+from planeprof.analysis.categories import CategoryRules, RulesError, load_rules
 from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
 from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump_info
 from planeprof.instrument.events import CodeSite, SiteKind
@@ -59,11 +59,7 @@ def _parse_levels(raw: Optional[str]) -> Tuple[str, ...]:
 
 def _dump_paths(dump_dir: Path) -> List[Path]:
     if not dump_dir.is_dir():
-        candidate = dump_dir / "dumps"
-        if candidate.is_dir():
-            dump_dir = candidate
-        else:
-            raise CliError(f"{dump_dir} is not a directory")
+        raise CliError(f"{dump_dir} is not a directory")
     paths = sorted(dump_dir.glob("*.dump"))
     if not paths:
         nested = dump_dir / "dumps"
@@ -96,13 +92,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         config = load_scenario(args.scenario)
-        overrides = {}
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.mode is not None:
-            overrides["entity_mode"] = args.mode
-        if overrides:
-            config = replace(config, **overrides)
+            config = replace(config, seed=args.seed)
         levels = _parse_levels(args.levels)
         out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
         out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +169,7 @@ def _write_run_artifacts(
     write_export(breakdowns, ReportKind.COARSE_TABLE, out / "coarse.json")
     if load_report is not None:
         (out / "load_report.json").write_text(
-            json.dumps(load_report.to_payload(), sort_keys=True, indent=2) + "\n",
+            json.dumps(asdict(load_report), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
     if topo.dumps_dir is not None and topo.dumps_dir.exists():
@@ -237,12 +228,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         elif kind is ReportKind.COARSE_TABLE:
             infos = [read_dump_info(p) for p in _dump_paths(dumps)]
             data = {i.meta.entity: i.coarse for i in infos if i.coarse is not None}
-        elif kind is ReportKind.HOTSPOT_REPORT:
+        else:
             data = find_hotspots(
                 _merged_profile(dumps), min_share_pct=args.threshold, rules=_rules(args.rules)
             )
-        else:
-            raise CliError("compare_report comes from the compare command")
     suffix = {"text": "txt", "csv": "csv", "structured": "json"}[fmt.value]
     out = Path(args.out) if args.out else Path(f"{kind.value}.{suffix}")
     spec = ReportSpec(kind=kind, sort_key=args.sort, top_n=args.top, output=out, format=fmt)
@@ -277,6 +266,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeprof",
@@ -290,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="run directory (default run-<scenario_id>)")
     p.add_argument("--levels", help=f"comma list of {','.join(LEVELS)}")
     p.add_argument("--seed", type=int, help="override scenario seed")
-    p.add_argument("--mode", choices=("process", "thread"), help="entity mode override")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("analyze", help="classify dumps and rank hotspots")
@@ -308,8 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="function_table",
         choices=[k.value for k in ReportKind if k is not ReportKind.COMPARE_REPORT],
     )
-    p.add_argument("--sort", help="sort key for the kind")
-    p.add_argument("--top", type=int, help="limit to top N rows")
+    p.add_argument(
+        "--sort",
+        help="sort key for a function, line or thread table; "
+        "csv and structured exports hold every row in a fixed order",
+    )
+    p.add_argument(
+        "--top",
+        type=_positive_int,
+        help="limit a text report to its top N rows; csv and structured exports ignore it",
+    )
     p.add_argument("--format", default="text", choices=[f.value for f in ReportFormat])
     p.add_argument("--scope", help="function symbol for line_table")
     p.add_argument("--entity", help="entity for thread_table")
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--epsilon", type=float, default=0.05, help="regression flag threshold (s)")
-    p.add_argument("--top", type=int, help="limit site delta rows")
+    p.add_argument("--top", type=_positive_int, help="limit site delta rows")
     p.add_argument("--rules", help="category rules file")
     p.add_argument("--out", help="output path")
     p.set_defaults(func=cmd_compare)
@@ -344,6 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (
         CliError,
         InvalidSortKey,
+        RulesError,
         ScenarioMismatch,
         RunIdMismatch,
         UnknownScope,

@@ -1,36 +1,10 @@
-"""Turn raw event streams into tabular profiles and merge them across processes."""
+"""Turn raw event streams into tabular profiles and merge them across processes.
 
-from planeprof.model.aggregate import (
-    MalformedStream,
-    UnknownScope,
-    aggregate_functions,
-    aggregate_regions,
-    aggregate_threads,
-    bracketed_span_ns,
-    profile_from_dump,
-)
-from planeprof.model.merge import RunIdMismatch, merge_profiles
-from planeprof.model.stats import (
-    FunctionProfile,
-    FunctionStats,
-    RegionProfile,
-    RegionStats,
-    ThreadStats,
-)
+Import the submodules directly; this package re-exports only the names the
+benchmark's layer timings use.
+"""
 
-__all__ = [
-    "FunctionProfile",
-    "FunctionStats",
-    "MalformedStream",
-    "RegionProfile",
-    "RegionStats",
-    "RunIdMismatch",
-    "ThreadStats",
-    "UnknownScope",
-    "aggregate_functions",
-    "aggregate_regions",
-    "aggregate_threads",
-    "bracketed_span_ns",
-    "merge_profiles",
-    "profile_from_dump",
-]
+from planeprof.model.aggregate import aggregate_regions, aggregate_threads, profile_from_dump
+from planeprof.model.merge import merge_profiles
+
+__all__ = ["aggregate_regions", "aggregate_threads", "merge_profiles", "profile_from_dump"]

@@ -1,27 +1,19 @@
-"""Rendering profiles and findings as text tables, CSV and structured JSON."""
+"""Rendering profiles and findings as text tables, CSV and structured JSON.
 
-from planeprof.reporting.exports import export_csv, export_json, import_csv, import_json
+Import the submodules directly; this package re-exports only the names the
+benchmark's layer timings use.
+"""
+
+from planeprof.reporting.exports import export_json, import_json
 from planeprof.reporting.summary import render_summary, write_dump_index
-from planeprof.reporting.tables import (
-    InvalidSortKey,
-    ReportFormat,
-    ReportKind,
-    ReportSpec,
-    render,
-    write_report,
-)
+from planeprof.reporting.tables import ReportKind, ReportSpec, render
 
 __all__ = [
-    "InvalidSortKey",
-    "ReportFormat",
     "ReportKind",
     "ReportSpec",
-    "export_csv",
     "export_json",
-    "import_csv",
     "import_json",
     "render",
     "render_summary",
     "write_dump_index",
-    "write_report",
 ]

@@ -2,8 +2,10 @@
 
 Each table kind has one header line whose bytes never change; values are
 formatted at presentation time (half-up rounding, seconds in function
-tables, microseconds in line tables). Sorting is stable: rows with equal
-keys keep their input order.
+tables, microseconds in line tables). ``_KINDS`` holds one entry per report
+kind; ``render`` checks the data and the sort key, then sorts and cuts the
+kind's rows, the same way for every kind. Sorting is stable: rows with
+equal keys keep their input order.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from planeprof.analysis.hotspots import CompareReport, HotspotFinding
+from planeprof.analysis.hotspots import CompareReport, HotspotFinding, SiteDelta
 from planeprof.analysis.percentages import coarse_percentages, round_half_up
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
@@ -73,34 +75,13 @@ _THREAD_SORTS = {
     "ncall": ("callcount, desc", lambda r: -r.ncall),
     "name": ("name", lambda r: (r.name, r.site.label())),
 }
-_DEFAULT_SORT = {
-    ReportKind.FUNCTION_TABLE: "cumtime",
-    ReportKind.LINE_TABLE: "line",
-    ReportKind.THREAD_TABLE: "ttot",
-}
-
-
-def _pick_sort(kind: ReportKind, sort_key: Optional[str]):
-    table = {
-        ReportKind.FUNCTION_TABLE: _FUNCTION_SORTS,
-        ReportKind.LINE_TABLE: _LINE_SORTS,
-        ReportKind.THREAD_TABLE: _THREAD_SORTS,
-    }[kind]
-    key = sort_key or _DEFAULT_SORT[kind]
-    if key not in table:
-        raise InvalidSortKey(f"{key!r} is not a sort key for {kind.value}")
-    return table[key]
 
 
 def _f8(value_s: float) -> str:
     return f"{value_s:8.3f}"
 
 
-def _render_function_table(profile: FunctionProfile, spec: ReportSpec) -> str:
-    label, keyfn = _pick_sort(ReportKind.FUNCTION_TABLE, spec.sort_key)
-    rows = sorted(profile.rows.values(), key=keyfn)
-    if spec.top_n is not None:
-        rows = rows[: spec.top_n]
+def _render_function_table(profile: FunctionProfile, rows: list, label: str) -> str:
     total_s = profile.total_time_ns / 1e9
     lines = [
         f"{profile.total_calls} function calls "
@@ -118,11 +99,7 @@ def _render_function_table(profile: FunctionProfile, spec: ReportSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_line_table(profile: RegionProfile, spec: ReportSpec) -> str:
-    label, keyfn = _pick_sort(ReportKind.LINE_TABLE, spec.sort_key)
-    rows = sorted(profile.rows.values(), key=keyfn)
-    if spec.top_n is not None:
-        rows = rows[: spec.top_n]
+def _render_line_table(profile: RegionProfile, rows: list, label: str) -> str:
     scope = profile.scope
     lines = [
         "Timer unit: 1e-06 s",
@@ -144,11 +121,7 @@ def _render_line_table(profile: RegionProfile, spec: ReportSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_thread_table(rows: Sequence[ThreadStats], spec: ReportSpec) -> str:
-    label, keyfn = _pick_sort(ReportKind.THREAD_TABLE, spec.sort_key)
-    ordered = sorted(rows, key=keyfn)
-    if spec.top_n is not None:
-        ordered = ordered[: spec.top_n]
+def _render_thread_table(_data, rows: List[ThreadStats], label: str) -> str:
     lines = [
         "Clock type: wall",
         "",
@@ -156,7 +129,7 @@ def _render_thread_table(rows: Sequence[ThreadStats], spec: ReportSpec) -> str:
         "",
         THREAD_HEADER,
     ]
-    for r in ordered:
+    for r in rows:
         name = f"{r.name}/{r.site.symbol}"
         if len(name) > 40:
             name = ".." + name[-38:]
@@ -166,15 +139,12 @@ def _render_thread_table(rows: Sequence[ThreadStats], spec: ReportSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_coarse_table(breakdowns: Dict[str, CoarseBreakdown], spec: ReportSpec) -> str:
+def _render_coarse_table(_data, items: List[Tuple[str, CoarseBreakdown]], _label) -> str:
     lines = [
         "Coarse time split (seconds)",
         "",
         "entity                 elapsed      user    system     other    user%     sys%   other%",
     ]
-    items = sorted(breakdowns.items())
-    if spec.top_n is not None:
-        items = items[: spec.top_n]
     for name, b in items:
         pc = coarse_percentages(b) if b.elapsed_s > 0 else None
         flags = " oversubscribed" if b.oversubscribed else ""
@@ -193,27 +163,30 @@ def _render_coarse_table(breakdowns: Dict[str, CoarseBreakdown], spec: ReportSpe
     return "\n".join(lines) + "\n"
 
 
-def _render_hotspots(findings: Sequence[HotspotFinding], spec: ReportSpec) -> str:
-    rows = list(findings)
-    if spec.top_n is not None:
-        rows = rows[: spec.top_n]
+def _render_hotspots(_data, findings: List[HotspotFinding], _label) -> str:
     lines = [
         "Hotspot findings (ranked by share of run time)",
         "",
         "rank  category        share%  site",
     ]
-    for i, f in enumerate(rows, 1):
+    for i, f in enumerate(findings, 1):
         site = f.site.label() if f.site else "-"
         lines.append(
             f"{i:>4}  {f.category.value:<14} {round_half_up(f.share_pct):>7.2f}  {site}"
         )
         lines.append(f"      -> {f.recommendation}")
-    if not rows:
+    if not findings:
         lines.append("(no findings above threshold)")
     return "\n".join(lines) + "\n"
 
 
-def _render_compare(report: CompareReport, spec: ReportSpec) -> str:
+def _moved_sites(report: CompareReport) -> List[SiteDelta]:
+    """Sites that moved, largest absolute internal-time change first."""
+    moved = [s for s in report.sites if s.tottime_delta_ns != 0 or s.ncalls_delta != 0]
+    return sorted(moved, key=lambda s: (-abs(s.tottime_delta_ns), s.site.label()))
+
+
+def _render_compare(report: CompareReport, sites: List[SiteDelta], _label) -> str:
     lines = [
         f"Before/after comparison for scenario {report.scenario!r}",
         "",
@@ -230,13 +203,10 @@ def _render_compare(report: CompareReport, spec: ReportSpec) -> str:
         lines.append("regressions:")
         for d in report.regressions:
             lines.append(f"  {d.category.value} grew by {d.delta_s:.3f} s")
-    movers = [s for s in report.sites if s.tottime_delta_ns != 0 or s.ncalls_delta != 0]
-    movers.sort(key=lambda s: (-abs(s.tottime_delta_ns), s.site.label()))
-    top = movers[: spec.top_n] if spec.top_n is not None else movers
-    if top:
+    if sites:
         lines.append("")
         lines.append("site deltas (tottime_s, ncalls):")
-        for s in top:
+        for s in sites:
             lines.append(
                 f"  {s.site.label():<46} {s.tottime_delta_ns / 1e9:>+9.3f} "
                 f"{s.ncalls_delta:>+8}"
@@ -244,53 +214,53 @@ def _render_compare(report: CompareReport, spec: ReportSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-RenderInput = Union[
-    FunctionProfile,
-    RegionProfile,
-    Sequence[ThreadStats],
-    Dict[str, CoarseBreakdown],
-    Sequence[HotspotFinding],
-    CompareReport,
-]
+@dataclass(frozen=True)
+class _Kind:
+    data_type: type  # what the kind renders
+    rows: Callable[[Any], Iterable]  # the rows that sort_key and top_n act on
+    # sort key name -> ("Ordered by" label, key function); the first is the default
+    sorts: Dict[str, Tuple[str, Callable]]
+    render: Callable[[Any, list, Optional[str]], str]  # (data, ordered rows, label) -> text
 
 
-def render(data: RenderInput, spec: ReportSpec) -> str:
+_KINDS: Dict[ReportKind, _Kind] = {
+    ReportKind.FUNCTION_TABLE: _Kind(
+        FunctionProfile, lambda p: p.rows.values(), _FUNCTION_SORTS, _render_function_table
+    ),
+    ReportKind.LINE_TABLE: _Kind(
+        RegionProfile, lambda p: p.rows.values(), _LINE_SORTS, _render_line_table
+    ),
+    ReportKind.THREAD_TABLE: _Kind(list, lambda rows: rows, _THREAD_SORTS, _render_thread_table),
+    ReportKind.COARSE_TABLE: _Kind(
+        dict, lambda breakdowns: sorted(breakdowns.items()), {}, _render_coarse_table
+    ),
+    ReportKind.HOTSPOT_REPORT: _Kind(list, lambda findings: findings, {}, _render_hotspots),
+    ReportKind.COMPARE_REPORT: _Kind(CompareReport, _moved_sites, {}, _render_compare),
+}
+
+
+def render(data, spec: ReportSpec) -> str:
     """Render ``data`` as the requested kind and format."""
+    kind = _KINDS[spec.kind]
+    if not isinstance(data, kind.data_type):
+        raise TypeError(f"{spec.kind.value} needs a {kind.data_type.__name__}")
+    if spec.sort_key is not None and spec.sort_key not in kind.sorts:
+        raise InvalidSortKey(f"{spec.sort_key!r} is not a sort key for {spec.kind.value}")
     if spec.format is not ReportFormat.TEXT:
         from planeprof.reporting.exports import export_csv, export_json
 
         if spec.format is ReportFormat.CSV:
             return export_csv(data, spec.kind)
         return export_json(data, spec.kind)
-    if spec.kind is ReportKind.FUNCTION_TABLE:
-        if not isinstance(data, FunctionProfile):
-            raise TypeError("function_table needs a FunctionProfile")
-        return _render_function_table(data, spec)
-    if spec.kind is ReportKind.LINE_TABLE:
-        if not isinstance(data, RegionProfile):
-            raise TypeError("line_table needs a RegionProfile")
-        return _render_line_table(data, spec)
-    if spec.kind is ReportKind.THREAD_TABLE:
-        if isinstance(data, (FunctionProfile, RegionProfile, CompareReport, dict)):
-            raise TypeError("thread_table needs thread rows")
-        return _render_thread_table(list(data), spec)  # type: ignore[arg-type]
-    if spec.kind is ReportKind.COARSE_TABLE:
-        if not isinstance(data, dict):
-            raise TypeError("coarse_table needs a name -> breakdown mapping")
-        return _render_coarse_table(data, spec)
-    if spec.kind is ReportKind.HOTSPOT_REPORT:
-        rows = list(data)  # type: ignore[arg-type]
-        if rows and not isinstance(rows[0], HotspotFinding):
-            raise TypeError("hotspot_report needs findings")
-        return _render_hotspots(rows, spec)
-    if spec.kind is ReportKind.COMPARE_REPORT:
-        if not isinstance(data, CompareReport):
-            raise TypeError("compare_report needs a CompareReport")
-        return _render_compare(data, spec)
-    raise ValueError(f"unsupported report kind {spec.kind}")
+    rows = list(kind.rows(data))
+    label = None
+    if kind.sorts:
+        label, sort_key = kind.sorts[spec.sort_key or next(iter(kind.sorts))]
+        rows.sort(key=sort_key)
+    return kind.render(data, rows[: spec.top_n], label)
 
 
-def write_report(data: RenderInput, spec: ReportSpec) -> Optional[Path]:
+def write_report(data, spec: ReportSpec) -> Optional[Path]:
     """Render and write to ``spec.output``; None means caller prints."""
     document = render(data, spec)
     if spec.output is None:

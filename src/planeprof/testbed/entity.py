@@ -33,7 +33,7 @@ import socket
 import sys
 import time
 from collections import Counter
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -929,7 +929,7 @@ class ClientEntity(Entity):
                 per_instance=dict(job.per_instance),
                 scale_factor=self.cfg.scale_factor,
             )
-            payload["report"] = report.to_payload()
+            payload["report"] = asdict(report)
         if self._mgr is not None:
             self.send(self._mgr, MsgType.CLIENT_REPLY, payload)
 

@@ -417,7 +417,7 @@ class RunningTopology:
             raise TimeoutError(f"no load report for {job_id} within {timeout_s}s")
         if payload.get("error") == "no_active_workflow":
             raise NoActiveWorkflow("no active workflow instances answered the lookup")
-        return LoadReport.from_payload(payload["report"])
+        return LoadReport(**payload["report"])
 
     def adjust_workflows(
         self, wm_name: str, observed_load: float, timeout_s: float = 5.0

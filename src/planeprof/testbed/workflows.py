@@ -72,30 +72,3 @@ class LoadReport:
     latency_quantiles_s: Dict[str, float]
     per_instance: Dict[str, int]
     scale_factor: float
-
-    def to_payload(self) -> dict:
-        return {
-            "users": self.users,
-            "rate_rps": self.rate_rps,
-            "duration_s": self.duration_s,
-            "sent": self.sent,
-            "answered": self.answered,
-            "errors": self.errors,
-            "latency_quantiles_s": self.latency_quantiles_s,
-            "per_instance": self.per_instance,
-            "scale_factor": self.scale_factor,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LoadReport":
-        return cls(
-            users=int(payload["users"]),
-            rate_rps=float(payload["rate_rps"]),
-            duration_s=float(payload["duration_s"]),
-            sent=int(payload["sent"]),
-            answered=int(payload["answered"]),
-            errors=int(payload["errors"]),
-            latency_quantiles_s=dict(payload["latency_quantiles_s"]),
-            per_instance=dict(payload["per_instance"]),
-            scale_factor=float(payload["scale_factor"]),
-        )

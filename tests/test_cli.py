@@ -41,6 +41,7 @@ from planeprof.reporting.exports import import_csv
 from planeprof.reporting.tables import ReportKind
 from planeprof.testbed.config import ScenarioConfig, write_scenario
 from planeprof.testbed.entity import EntityConfig
+from planeprof.testbed.workflows import LoadReport
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +99,16 @@ class TestRun:
         assert (run_dir / "coarse.txt").exists()
         assert (run_dir / "coarse.json").exists()
         assert (run_dir / "summary.txt").exists()
-        assert (run_dir / "load_report.json").exists()
+        LoadReport(**json.loads((run_dir / "load_report.json").read_text()))
         dumps = sorted(p.name for p in (run_dir / "dumps").glob("*.dump"))
         assert "orchestrator.dump" in dumps
         assert "gc.dump" in dumps and "ns.dump" in dumps
         assert (run_dir / "dumps" / "index.txt").exists()
+
+    def test_mode_flag_is_gone(self, scenario_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(scenario_file), "--mode", "thread"])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_bootstrap_only_run(self, scenario_file, tmp_path):
         # run_duration 0 with zero sleeps: dumps still land
@@ -528,11 +534,38 @@ class TestReport:
         assert len(lines) - header_at - 1 == 3
 
     def test_invalid_sort_key_is_config_error(self, run_dir, tmp_path):
+        # the key is checked for every kind and format, not only text tables
+        for extra in ([], ["--kind", "coarse_table"], ["--format", "csv"]):
+            code = main(
+                ["report", "--dumps", str(run_dir), "--sort", "bogus",
+                 "--out", str(tmp_path / "t.txt"), *extra]
+            )
+            assert code == EXIT_CONFIG, extra
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_top_zero_is_usage_error(self, run_dir, tmp_path, capsys, command):
+        args = {
+            "report": ["report", "--dumps", str(run_dir)],
+            "compare": ["compare", "--before", str(run_dir), "--after", str(run_dir)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--top", "0", "--out", str(tmp_path / "t.txt")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--top: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rules", ["poll = nonsense\n", "# ok\npoll_wait\n"], ids=["category", "no-equals"]
+    )
+    def test_bad_rules_file_is_config_error(self, run_dir, tmp_path, capsys, rules):
+        path = tmp_path / "bad.rules"
+        path.write_text(rules)
         code = main(
-            ["report", "--dumps", str(run_dir), "--sort", "bogus",
-             "--out", str(tmp_path / "t.txt")]
+            ["report", "--dumps", str(run_dir), "--kind", "hotspot_report",
+             "--rules", str(path), "--out", str(tmp_path / "h.txt")]
         )
         assert code == EXIT_CONFIG
+        lineno = rules.count("\n")
+        assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
 
     def test_csv_report_reimports_exactly(self, run_dir, tmp_path):
         out = tmp_path / "table.csv"

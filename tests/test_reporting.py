@@ -32,6 +32,7 @@ from planeprof.reporting.summary import render_summary, write_dump_index
 from planeprof.reporting.tables import (
     FUNCTION_HEADER,
     LINE_HEADER,
+    LINE_RULE,
     THREAD_HEADER,
     InvalidSortKey,
     ReportFormat,
@@ -126,6 +127,32 @@ GOLDEN_DATA = {
     ReportKind.COMPARE_REPORT: lambda: compare(golden_function_profile(), golden_changed_profile()),
 }
 
+# each kind's sort keys, the default first; the other kinds have none
+SORT_KEYS = {
+    ReportKind.FUNCTION_TABLE: ["cumtime", "tottime", "ncalls", "name"],
+    ReportKind.LINE_TABLE: ["line", "time", "hits"],
+    ReportKind.THREAD_TABLE: ["ttot", "tsub", "ncall", "name"],
+    ReportKind.COARSE_TABLE: [],
+    ReportKind.HOTSPOT_REPORT: [],
+    ReportKind.COMPARE_REPORT: [],
+}
+# the line that starts each text report's data rows
+ROWS_AFTER = {
+    ReportKind.FUNCTION_TABLE: FUNCTION_HEADER,
+    ReportKind.LINE_TABLE: LINE_RULE,
+    ReportKind.THREAD_TABLE: THREAD_HEADER,
+    ReportKind.COARSE_TABLE: "entity ",
+    ReportKind.HOTSPOT_REPORT: "rank ",
+    ReportKind.COMPARE_REPORT: "site deltas ",
+}
+
+
+def text_data_rows(kind: ReportKind, text: str) -> list[str]:
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(ROWS_AFTER[kind]))
+    notes = ("      -> ", "other = ")  # a finding's recommendation, the coarse footnote
+    return [line for line in lines[start + 1:] if line and not line.startswith(notes)]
+
 
 class TestGoldens:
     def test_function_table_matches_golden_byte_for_byte(self):
@@ -186,6 +213,25 @@ class TestRenderRules:
             )
         with pytest.raises(InvalidSortKey):
             render(golden_thread_rows(), ReportSpec(kind=ReportKind.THREAD_TABLE, sort_key="cumtime"))
+
+    @pytest.mark.parametrize("fmt", list(ReportFormat), ids=lambda f: f.value)
+    @pytest.mark.parametrize("kind", list(ReportKind), ids=lambda k: k.value)
+    def test_sort_keys_in_every_format(self, kind, fmt):
+        data = GOLDEN_DATA[kind]()
+        with pytest.raises(InvalidSortKey):
+            render(data, ReportSpec(kind=kind, sort_key="bogus", format=fmt))
+        keyed = [
+            render(data, ReportSpec(kind=kind, sort_key=key, format=fmt)) for key in SORT_KEYS[kind]
+        ]
+        assert all(keyed)
+        if keyed:
+            assert keyed[0] == render(data, ReportSpec(kind=kind, format=fmt))
+
+    @pytest.mark.parametrize("kind", list(ReportKind), ids=lambda k: k.value)
+    def test_top_one_leaves_one_data_row(self, kind):
+        data = GOLDEN_DATA[kind]()
+        assert len(text_data_rows(kind, render(data, ReportSpec(kind=kind)))) > 1
+        assert len(text_data_rows(kind, render(data, ReportSpec(kind=kind, top_n=1)))) == 1
 
     def test_equal_keys_keep_input_order(self):
         profile = FunctionProfile()

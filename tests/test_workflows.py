@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 from planeprof.testbed.workflows import (
     LoadReport,
     WorkflowInstance,
@@ -69,4 +72,4 @@ class TestLoadReport:
             per_instance={"workflow/wf/i0": 250, "workflow/wf/i1": 250},
             scale_factor=0.01,
         )
-        assert LoadReport.from_payload(report.to_payload()) == report
+        assert LoadReport(**json.loads(json.dumps(asdict(report)))) == report
