@@ -1,18 +1,26 @@
 """Command line: run scenarios, analyze dumps, render reports, compare runs.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure
-(bootstrap timeout, spawn failure, missing reply).
+(bootstrap timeout, spawn failure, missing reply). An ``--out`` that names
+a directory (a file, for ``run``) or a path that cannot be written is a
+usage error (2). A command whose stdout reader has gone away keeps its
+own code and says so in one stderr line.
+
+:func:`entry_point` runs a command as a process: it flushes the standard
+streams and ends with ``os._exit``, as an entity does, skipping
+interpreter teardown. :func:`main` returns the code, for in-process use.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
 from planeprof.analysis.categories import CategoryRules, RulesError, load_rules
 from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
@@ -24,7 +32,7 @@ from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stre
 from planeprof.model.merge import RunIdMismatch, merge_profiles
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
 from planeprof.reporting.exports import ExportFormatError, read_export, write_export
-from planeprof.reporting.summary import render_summary, write_dump_index
+from planeprof.reporting.summary import read_dump_infos, render_summary, write_dump_index
 from planeprof.reporting.tables import (
     InvalidSortKey,
     ReportFormat,
@@ -77,6 +85,22 @@ def _merged_profile(dump_dir: Path) -> FunctionProfile:
 
 def _rules(path: Optional[str]) -> Optional[CategoryRules]:
     return load_rules(path) if path else None
+
+
+def _print_path(out: Path) -> int:
+    """Print a finished command's output path; its outputs are on disk."""
+    try:
+        print(out)
+    except BrokenPipeError:
+        _drop_stdout()
+    return EXIT_OK
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device once its reader has gone, so that
+    what it still buffers cannot fail again, and say so on stderr."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print("warning: stdout was closed before the output path was written", file=sys.stderr)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -133,8 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(out)
-    return EXIT_OK
+    return _print_path(out)
 
 
 def _write_run_artifacts(
@@ -152,15 +175,14 @@ def _write_run_artifacts(
             f"{e.phase.name}\t{e.wall_s!r}\t{e.monotonic_s - base:.6f}"
         )
     (out / "timeline.txt").write_text("\n".join(timeline_lines) + "\n", encoding="utf-8")
+    # each dump's header and footer are read once, for the coarse table,
+    # the dump index and the summary
+    dumps_dir = out / "dumps"
+    infos = read_dump_infos(dumps_dir)
     # dump footers are the uniform coarse source: per-process splits in
     # process mode, per-thread splits in thread mode; supervisor rusage
     # (when available) refines the process-mode numbers
-    breakdowns = {}
-    if topo.dumps_dir is not None and topo.dumps_dir.exists():
-        for path in sorted(topo.dumps_dir.glob("*.dump")):
-            info = read_dump_info(path)
-            if info.coarse is not None:
-                breakdowns[info.meta.entity] = info.coarse
+    breakdowns = {i.meta.entity: i.coarse for i in infos.values() if i.coarse is not None}
     for name, b in coarse.items():
         if b is not None:
             breakdowns[name] = b
@@ -172,9 +194,8 @@ def _write_run_artifacts(
             json.dumps(asdict(load_report), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
-    if topo.dumps_dir is not None and topo.dumps_dir.exists():
-        write_dump_index(topo.dumps_dir)
-    (out / "summary.txt").write_text(render_summary(out), encoding="utf-8")
+    write_dump_index(dumps_dir, infos)
+    (out / "summary.txt").write_text(render_summary(out, infos), encoding="utf-8")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -182,8 +203,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     findings = find_hotspots(merged, min_share_pct=args.threshold, rules=_rules(args.rules))
     out = Path(args.out) if args.out else Path(args.dumps) / "findings.json"
     write_export(findings, ReportKind.HOTSPOT_REPORT, out)
-    print(out)
-    return EXIT_OK
+    return _print_path(out)
 
 
 def _region_profile(paths: List[Path], symbol: str) -> RegionProfile:
@@ -236,8 +256,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(f"{kind.value}.{suffix}")
     spec = ReportSpec(kind=kind, sort_key=args.sort, top_n=args.top, output=out, format=fmt)
     write_report(data, spec)
-    print(out)
-    return EXIT_OK
+    return _print_path(out)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -247,8 +266,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path("compare_report.txt")
     spec = ReportSpec(kind=ReportKind.COMPARE_REPORT, output=out, top_n=args.top)
     write_report(report, spec)
-    print(out)
-    return EXIT_OK
+    return _print_path(out)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -262,8 +280,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     out = Path(args.out) if args.out else Path("calibration.json")
     out.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(out)
-    return EXIT_OK
+    return _print_path(out)
 
 
 def _positive_int(raw: str) -> int:
@@ -354,10 +371,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         DumpFormatError,
         ExportFormatError,
         FileNotFoundError,
+        FileExistsError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
+def entry_point() -> NoReturn:
+    """Run :func:`main` as the process and end it the way an entity ends.
+
+    By the time ``main`` returns, every output is written and closed and
+    a run's entities are reaped; a thread still alive is a daemon that
+    teardown would stop as well. Only the standard streams may still hold
+    output, so teardown would cost time and do nothing else.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

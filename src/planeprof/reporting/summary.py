@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from planeprof.instrument.dumpio import DumpInfo, read_dump_info
 from planeprof.instrument.recorder import ClockCalibration
@@ -11,19 +11,29 @@ from planeprof.instrument.recorder import ClockCalibration
 INDEX_NAME = "index.txt"
 
 
-def write_dump_index(directory: Path | str) -> Path:
+def read_dump_infos(directory: Path | str) -> Dict[str, DumpInfo]:
+    """Every ``*.dump`` in a directory: its :class:`DumpInfo` by file
+    name, in file-name order. A missing directory holds none."""
+    return {path.name: read_dump_info(path) for path in sorted(Path(directory).glob("*.dump"))}
+
+
+def write_dump_index(
+    directory: Path | str, infos: Optional[Dict[str, DumpInfo]] = None
+) -> Path:
     """Write ``index.txt`` listing every dump in a directory.
 
     One tab-separated line per dump: name, entity, role, run id, event
     count, violation count. Deterministic order (by file name) so the
-    index is diffable.
+    index is diffable. ``infos`` is the directory's
+    :func:`read_dump_infos`, when the caller has read it already.
     """
     directory = Path(directory)
+    if infos is None:
+        infos = read_dump_infos(directory)
     lines = ["# dump\tentity\trole\trun_id\tevents\tviolations"]
-    for path in sorted(directory.glob("*.dump")):
-        info = read_dump_info(path)
+    for name, info in infos.items():
         lines.append(
-            f"{path.name}\t{info.meta.entity}\t{info.meta.role}"
+            f"{name}\t{info.meta.entity}\t{info.meta.role}"
             f"\t{info.meta.run_id}\t{info.events}\t{info.violations}"
         )
     index = directory / INDEX_NAME
@@ -38,16 +48,19 @@ def _calibration_txt(cal: ClockCalibration) -> str:
     )
 
 
-def render_summary(run_dir: Path | str) -> str:
+def render_summary(run_dir: Path | str, infos: Optional[Dict[str, DumpInfo]] = None) -> str:
     """Human-readable overview of a run directory's dumps and timeline.
 
     Each entity's ``self_cost_of_cpu`` estimates what profiling cost it:
     one calibrated enter/exit pair per two events, as a share of the CPU
     time (user + system) of its coarse record. The run's calibration is
     the orchestrator's; a dump that carries another one is named.
+    ``infos`` is the :func:`read_dump_infos` of ``<run_dir>/dumps``, when
+    the caller has read it already.
     """
     run_dir = Path(run_dir)
-    dumps_dir = run_dir / "dumps"
+    if infos is None:
+        infos = read_dump_infos(run_dir / "dumps")
     lines: List[str] = [f"Run summary: {run_dir.name}"]
     timeline = run_dir / "timeline.txt"
     if timeline.exists():
@@ -55,9 +68,6 @@ def render_summary(run_dir: Path | str) -> str:
         lines.append("bootstrap timeline:")
         for raw in timeline.read_text(encoding="utf-8").splitlines():
             lines.append(f"  {raw}")
-    infos: Dict[str, DumpInfo] = {}
-    if dumps_dir.exists():
-        infos = {path.name: read_dump_info(path) for path in sorted(dumps_dir.glob("*.dump"))}
     role_counts: Dict[str, int] = {}
     total_events = 0
     run_id = "-"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import socket
 import subprocess
@@ -664,3 +665,141 @@ class TestCalibrate:
         ):
             assert key in doc
         assert doc["pair_overhead_ns"] > 0
+
+
+def run_cli(*args, stdout=subprocess.PIPE, unbuffered=""):
+    """``python -m planeprof.cli`` as its own process, ended by its exit
+    path; its stdout is block-buffered unless ``unbuffered`` is set."""
+    return subprocess.run(
+        [sys.executable, "-m", "planeprof.cli", *map(str, args)],
+        stdin=subprocess.DEVNULL,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        text=True,
+        timeout=120,
+    )
+
+
+class TestProcessExit:
+    """What a command prints and returns, mostly through a real process
+    that ``os._exit`` ends, and how an unusable ``--out`` ends it."""
+
+    def test_run_and_analyze_print_their_paths(self, scenario_file, tmp_path):
+        out = tmp_path / "run"
+        done = run_cli("run", "--scenario", scenario_file, "--out", out)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, f"{out}\n", "")
+        done = run_cli("analyze", "--dumps", out)
+        findings = out / "findings.json"
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, f"{findings}\n", "")
+        assert json.loads(findings.read_text())["kind"] == "hotspot_report"
+
+    def test_missing_dumps_is_config_error(self, tmp_path):
+        done = run_cli("analyze", "--dumps", tmp_path / "void")
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+        assert done.stderr == f"error: {tmp_path / 'void'} is not a directory\n"
+
+    # unbuffered, print() meets the closed pipe; buffered, the exit flush does
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_keeps_the_exit_code(self, run_dir, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = tmp_path / "findings.json"
+        try:
+            done = run_cli(
+                "analyze", "--dumps", run_dir, "--out", out, stdout=write_end, unbuffered=unbuffered
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_OK
+        assert done.stderr == "warning: stdout was closed before the output path was written\n"
+        assert json.loads(out.read_text())["kind"] == "hotspot_report"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "--dumps", "{run}"],
+            ["report", "--dumps", "{run}"],
+            ["compare", "--before", "{run}", "--after", "{run}"],
+            ["calibrate"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_directory_out_is_usage_error(self, run_dir, tmp_path, command):
+        args = [a.format(run=run_dir) for a in command]
+        done = run_cli(*args, "--out", tmp_path)
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+        assert done.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("target", ["file", "under-a-file"])
+    def test_unusable_run_out_is_usage_error(self, scenario_file, tmp_path, capsys, target):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a run directory\n")
+        out = blocker if target == "file" else blocker / "run"
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert blocker.read_text() == "not a run directory\n"
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        if os.access(locked, os.W_OK):
+            pytest.skip("this user can write to a read-only directory")
+        out = locked / "cal.json"
+        assert main(["calibrate", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+
+
+@pytest.fixture(scope="module")
+def counted_run(scenario_file, tmp_path_factory):
+    """A thread-mode ``run``: its run directory, the ``read_dump_info``
+    calls it made per dump path, and the threads still alive after it
+    that were not before."""
+    out = tmp_path_factory.mktemp("runs") / "counted"
+    reads = {}
+
+    def counting(read):
+        def read_dump_info(path):
+            reads[Path(path)] = reads.get(Path(path), 0) + 1
+            return read(path)
+
+        return read_dump_info
+
+    before = set(threading.enumerate())
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (planeprof.cli, summary):
+            mp.setattr(module, "read_dump_info", counting(module.read_dump_info))
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == EXIT_OK
+    left = [t for t in threading.enumerate() if t not in before]
+    return out, reads, left
+
+
+class TestRunEnd:
+    """What ``os._exit`` after a run would cut short, and the run's one
+    read of each dump's header and footer."""
+
+    def test_no_thread_the_run_started_outlives_it(self, counted_run):
+        _, _, left = counted_run
+        assert [t.name for t in left] == []
+
+    def test_each_dump_info_is_read_once(self, counted_run):
+        out, reads, _ = counted_run
+        dumps = sorted((out / "dumps").glob("*.dump"))
+        assert len(dumps) >= 3
+        assert reads == {path: 1 for path in dumps}
+
+    def test_artifacts_equal_standalone_renders(self, counted_run, tmp_path):
+        out, _, _ = counted_run
+        assert (out / "summary.txt").read_text() == summary.render_summary(out)
+        index = (out / "dumps" / "index.txt").read_text()
+        copy = shutil.copytree(
+            out / "dumps", tmp_path / "dumps", ignore=shutil.ignore_patterns("index.txt")
+        )
+        assert summary.write_dump_index(copy).read_text() == index
+        # thread mode: every coarse record is a dump footer, none is rusage
+        for name, fmt in (("coarse.txt", "text"), ("coarse.json", "structured")):
+            again = tmp_path / name
+            args = ["report", "--dumps", str(out), "--kind", "coarse_table", "--format", fmt]
+            assert main([*args, "--out", str(again)]) == EXIT_OK
+            assert again.read_bytes() == (out / name).read_bytes(), name
