@@ -8,11 +8,10 @@ is guessed when the recorder already knew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from planeprof.instrument.events import (
     TAG_HEARTBEAT,
@@ -22,6 +21,7 @@ from planeprof.instrument.events import (
     CodeSite,
 )
 from planeprof.model.stats import FunctionProfile, FunctionStats
+from planeprof.structs import Struct
 
 
 class TimeCategory(str, Enum):
@@ -42,8 +42,7 @@ _TAG_CATEGORY = {
 }
 
 
-@dataclass(frozen=True)
-class CategoryRules:
+class CategoryRules(NamedTuple):
     """Ordered (substring pattern, category) pairs matched against symbols."""
 
     patterns: Tuple[Tuple[str, TimeCategory], ...]
@@ -85,13 +84,20 @@ def default_rules() -> CategoryRules:
         return load_rules(path)
 
 
-@dataclass
-class CategoryBreakdown:
+class CategoryBreakdown(Struct):
     """Time per category plus the rows that put it there."""
 
-    total_ns: int
-    by_category_ns: Dict[TimeCategory, int] = field(default_factory=dict)
-    rows: Dict[TimeCategory, List[FunctionStats]] = field(default_factory=dict)
+    __slots__ = ("total_ns", "by_category_ns", "rows")
+
+    def __init__(
+        self,
+        total_ns: int,
+        by_category_ns: Optional[Dict[TimeCategory, int]] = None,
+        rows: Optional[Dict[TimeCategory, List[FunctionStats]]] = None,
+    ) -> None:
+        self.total_ns = total_ns
+        self.by_category_ns = {} if by_category_ns is None else by_category_ns
+        self.rows = {} if rows is None else rows
 
     def shares(self) -> Dict[TimeCategory, float]:
         if self.total_ns == 0:

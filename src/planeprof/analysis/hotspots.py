@@ -7,12 +7,12 @@ polling, fixed sleeps, heartbeat traffic and resource lifecycle churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from planeprof.analysis.categories import CategoryRules, TimeCategory, classify
 from planeprof.instrument.events import CodeSite
 from planeprof.model.stats import NS_PER_S, FunctionProfile, FunctionStats
+from planeprof.structs import Checked, Struct
 
 
 class ScenarioMismatch(Exception):
@@ -51,15 +51,18 @@ RECOMMENDATIONS: Dict[TimeCategory, str] = {
 }
 
 
-@dataclass(frozen=True)
-class HotspotFinding:
+class _FindingFields(NamedTuple):
     category: TimeCategory
     site: Optional[CodeSite]
     share_pct: float
     evidence: Tuple[FunctionStats, ...]
     recommendation: str
 
-    def __post_init__(self) -> None:
+
+class HotspotFinding(Checked, _FindingFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 < self.share_pct <= 100.0:
             raise ValueError("share_pct must lie in (0, 100]")
 
@@ -108,8 +111,7 @@ def find_hotspots(
     return findings
 
 
-@dataclass(frozen=True)
-class CategoryDelta:
+class CategoryDelta(NamedTuple):
     category: TimeCategory
     before_ns: int
     after_ns: int
@@ -129,8 +131,7 @@ class CategoryDelta:
         return 100.0 * self.delta_ns / self.before_ns
 
 
-@dataclass(frozen=True)
-class SiteDelta:
+class SiteDelta(NamedTuple):
     site: CodeSite
     ncalls_before: int
     ncalls_after: int
@@ -146,12 +147,20 @@ class SiteDelta:
         return self.ncalls_after - self.ncalls_before
 
 
-@dataclass
-class CompareReport:
-    scenario: str
-    categories: List[CategoryDelta]
-    sites: List[SiteDelta]
-    regressions: List[CategoryDelta]
+class CompareReport(Struct):
+    __slots__ = ("scenario", "categories", "sites", "regressions")
+
+    def __init__(
+        self,
+        scenario: str,
+        categories: List[CategoryDelta],
+        sites: List[SiteDelta],
+        regressions: List[CategoryDelta],
+    ) -> None:
+        self.scenario = scenario
+        self.categories = categories
+        self.sites = sites
+        self.regressions = regressions
 
 
 def compare(

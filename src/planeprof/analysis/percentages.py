@@ -8,9 +8,8 @@ of runtime equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from planeprof.instrument.proctimes import CoarseBreakdown
 
@@ -33,8 +32,7 @@ def round_half_up(value: float, digits: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class CoarsePercentages:
+class CoarsePercentages(NamedTuple):
     user_pct: float
     sys_pct: float
     other_pct: float
@@ -51,8 +49,7 @@ def coarse_percentages(b: CoarseBreakdown) -> CoarsePercentages:
     )
 
 
-@dataclass(frozen=True)
-class ShareReport:
+class ShareReport(NamedTuple):
     """Component share per run plus the pooled share across runs."""
 
     per_run_pct: tuple[float, ...]

@@ -6,6 +6,12 @@ a directory (a file, for ``run``) or a path that cannot be written is a
 usage error (2). A command whose stdout reader has gone away keeps its
 own code and says so in one stderr line.
 
+Each command imports what only it runs: ``run`` the testbed and the
+recorder, ``calibrate`` the recorder, and the commands that classify time
+the analysis modules. So ``analyze``, ``report`` and ``compare`` start
+without the testbed, the recorder or the run summary, and a function or
+thread table without the analysis modules.
+
 :func:`entry_point` runs a command as a process: it flushes the standard
 streams and ends with ``os._exit``, as an entity does, skipping
 interpreter teardown. :func:`main` returns the code, for in-process use.
@@ -15,24 +21,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
-from planeprof.analysis.categories import CategoryRules, RulesError, load_rules
-from planeprof.analysis.hotspots import ScenarioMismatch, compare, find_hotspots
 from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump_info
-from planeprof.instrument.events import CodeSite, SiteKind
-from planeprof.instrument.proctimes import CoarseBreakdown
-from planeprof.instrument.recorder import LEVELS, Recorder, calibrate_clocks
+from planeprof.instrument.events import LEVELS, CodeSite, SiteKind
 from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stream
 from planeprof.model.merge import RunIdMismatch, merge_profiles
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
 from planeprof.reporting.exports import ExportFormatError, read_export, write_export
-from planeprof.reporting.summary import read_dump_infos, render_summary, write_dump_index
 from planeprof.reporting.tables import (
     InvalidSortKey,
     ReportFormat,
@@ -42,6 +43,8 @@ from planeprof.reporting.tables import (
 )
 
 if TYPE_CHECKING:
+    from planeprof.analysis.categories import CategoryRules
+    from planeprof.instrument.proctimes import CoarseBreakdown
     from planeprof.testbed.config import ScenarioConfig
 
 EXIT_OK = 0
@@ -84,7 +87,11 @@ def _merged_profile(dump_dir: Path) -> FunctionProfile:
 
 
 def _rules(path: Optional[str]) -> Optional[CategoryRules]:
-    return load_rules(path) if path else None
+    if not path:
+        return None
+    from planeprof.analysis.categories import load_rules
+
+    return load_rules(path)
 
 
 def _print_path(out: Path) -> int:
@@ -104,7 +111,15 @@ def _drop_stdout() -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # the testbed is imported here, so analyze, report and compare never load it
+    # The testbed is imported here, so analyze, report and compare never
+    # load it. So is every module that the post-run step imports (the coarse
+    # table's renderer imports the percentages), so that nothing is imported
+    # after the run's window.
+    from dataclasses import replace
+
+    import planeprof.analysis.percentages  # noqa: F401
+    import planeprof.reporting.summary  # noqa: F401
+    from planeprof.instrument.recorder import Recorder
     from planeprof.testbed.config import ScenarioError, load_scenario
     from planeprof.testbed.orchestrator import (
         BootstrapTimeout,
@@ -167,6 +182,10 @@ def _write_run_artifacts(
     coarse: Dict[str, Optional[CoarseBreakdown]],
     load_report,
 ) -> None:
+    from dataclasses import asdict
+
+    from planeprof.reporting.summary import read_dump_infos, render_summary, write_dump_index
+
     timeline_lines = []
     entries = sorted(topo.timeline.values(), key=lambda e: e.monotonic_s)
     base = entries[0].monotonic_s if entries else 0.0
@@ -199,6 +218,8 @@ def _write_run_artifacts(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from planeprof.analysis.hotspots import find_hotspots
+
     merged = _merged_profile(Path(args.dumps))
     findings = find_hotspots(merged, min_share_pct=args.threshold, rules=_rules(args.rules))
     out = Path(args.out) if args.out else Path(args.dumps) / "findings.json"
@@ -249,6 +270,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             infos = [read_dump_info(p) for p in _dump_paths(dumps)]
             data = {i.meta.entity: i.coarse for i in infos if i.coarse is not None}
         else:
+            from planeprof.analysis.hotspots import find_hotspots
+
             data = find_hotspots(
                 _merged_profile(dumps), min_share_pct=args.threshold, rules=_rules(args.rules)
             )
@@ -260,6 +283,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from planeprof.analysis.hotspots import compare
+
     before = _merged_profile(Path(args.before))
     after = _merged_profile(Path(args.after))
     report = compare(before, after, rules=_rules(args.rules), regression_epsilon_s=args.epsilon)
@@ -270,6 +295,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from planeprof.instrument.recorder import calibrate_clocks
+
     cal = calibrate_clocks()
     record = {
         "wall_cost_ns": cal.wall_cost_ns,
@@ -290,6 +317,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _finite_non_negative(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeprof",
@@ -307,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify dumps and rank hotspots")
     p.add_argument("--dumps", required=True, help="run or dumps directory")
-    p.add_argument("--threshold", type=float, default=1.0, help="min share %% per finding")
+    p.add_argument(
+        "--threshold", type=_finite_non_negative, default=1.0, help="min share %% per finding"
+    )
     p.add_argument("--rules", help="category rules file")
     p.add_argument("--out", help="findings file (default <dumps>/findings.json)")
     p.set_defaults(func=cmd_analyze)
@@ -333,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=[f.value for f in ReportFormat])
     p.add_argument("--scope", help="function symbol for line_table")
     p.add_argument("--entity", help="entity for thread_table")
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--threshold", type=_finite_non_negative, default=1.0)
     p.add_argument("--rules", help="category rules file")
     p.add_argument("--out", help="output path")
     p.set_defaults(func=cmd_report)
@@ -341,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="delta report between two runs")
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
-    p.add_argument("--epsilon", type=float, default=0.05, help="regression flag threshold (s)")
+    p.add_argument(
+        "--epsilon", type=_finite_non_negative, default=0.05, help="regression flag threshold (s)"
+    )
     p.add_argument("--top", type=_positive_int, help="limit site delta rows")
     p.add_argument("--rules", help="category rules file")
     p.add_argument("--out", help="output path")
@@ -361,7 +399,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("report needs --dumps or --export")
     try:
         return args.func(args)
-    except (
+    except _usage_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _usage_errors() -> tuple:
+    """The exceptions that exit 2. ``main`` calls this only once a command
+    has raised, and a command that raised an analysis module's exception
+    has loaded that module."""
+    from planeprof.analysis.categories import RulesError
+    from planeprof.analysis.hotspots import ScenarioMismatch
+
+    return (
         CliError,
         InvalidSortKey,
         RulesError,
@@ -375,9 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         IsADirectoryError,
         NotADirectoryError,
         PermissionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    )
 
 
 def entry_point() -> NoReturn:

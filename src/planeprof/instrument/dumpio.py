@@ -62,13 +62,13 @@ lines as record tuples with absolute clocks while it reads, and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from planeprof.instrument.events import (
+    ClockCalibration,
     CodeSite,
     EventKind,
     NestingViolation,
@@ -76,7 +76,7 @@ from planeprof.instrument.events import (
     SiteKind,
 )
 from planeprof.instrument.proctimes import CoarseBreakdown
-from planeprof.instrument.recorder import ClockCalibration
+from planeprof.structs import Struct
 
 FORMAT_LINE = "profile-dump 4"
 
@@ -98,8 +98,7 @@ class DumpFormatError(Exception):
     """The file is not a readable profile dump."""
 
 
-@dataclass(frozen=True)
-class DumpMeta:
+class DumpMeta(NamedTuple):
     """Identity of the process a dump describes."""
 
     run_id: str
@@ -112,17 +111,27 @@ class DumpMeta:
     scale_factor: float = 1.0
 
 
-@dataclass
-class Dump:
-    meta: DumpMeta
-    calibration: ClockCalibration
-    events: List[ProfileEvent] = field(default_factory=list)
-    violations: List[NestingViolation] = field(default_factory=list)
-    coarse: Optional[CoarseBreakdown] = None
+class Dump(Struct):
+    """A whole dump, its events materialized."""
+
+    __slots__ = ("meta", "calibration", "events", "violations", "coarse")
+
+    def __init__(
+        self,
+        meta: DumpMeta,
+        calibration: ClockCalibration,
+        events: Optional[List[ProfileEvent]] = None,
+        violations: Optional[List[NestingViolation]] = None,
+        coarse: Optional[CoarseBreakdown] = None,
+    ) -> None:
+        self.meta = meta
+        self.calibration = calibration
+        self.events = [] if events is None else events
+        self.violations = [] if violations is None else violations
+        self.coarse = coarse
 
 
-@dataclass(frozen=True)
-class DumpInfo:
+class DumpInfo(NamedTuple):
     """What a dump's header and footer say, read without its event lines."""
 
     meta: DumpMeta
@@ -154,7 +163,7 @@ class DumpWriter:
         self.path = Path(path)
         self._part = self.path.with_name(self.path.name + ".part")
         self._events = 0  # E and X records written so far
-        # (id(site), tag) -> number; keyed by id() as hashing a dataclass is
+        # (id(site), tag) -> number; keyed by id() as hashing a site is
         # far dearer. Written records no longer hold their sites, so
         # ``_sites`` keeps every numbered site alive: a freed site's id could
         # otherwise be reused by another site and get its number.
@@ -272,7 +281,7 @@ def records_of(
     in ``sites`` if it holds an equal site, else the first seen.
     """
     by_value = {} if sites is None else sites
-    # keyed by id() to skip the dataclass hash; each value holds its site,
+    # keyed by id() to skip the site hash; each value holds its site,
     # so no id is reused while the generator runs
     by_id: Dict[int, Tuple[CodeSite, CodeSite]] = {}
     for ev in events:

@@ -2,14 +2,14 @@
 
 A :class:`CodeSite` names a place in the code (file, line, symbol); a
 :class:`ProfileEvent` is one timestamped observation at a site. Enter/Exit
-pairs bracket function or region execution.
+pairs bracket function or region execution. :class:`ClockCalibration` is
+what a recorder measured of its clocks, and every dump carries one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class SiteKind(str, Enum):
@@ -31,9 +31,12 @@ TAG_POLL = "poll"
 TAG_HEARTBEAT = "heartbeat"
 TAG_SPAWN = "spawn"
 
+# The profiling levels, all of them on by default. ``coarse`` process clock
+# splits are always collected; ``events`` turns the recorder on.
+LEVELS = ("coarse", "events")
 
-@dataclass(frozen=True)
-class CodeSite:
+
+class CodeSite(NamedTuple):
     """A uniquely identified place in the code.
 
     ``(file, line, symbol)`` identifies a site within a run; ``kind`` says
@@ -51,8 +54,7 @@ class CodeSite:
         return f"{self.file}:{self.line}({self.symbol})"
 
 
-@dataclass(frozen=True)
-class ProfileEvent:
+class ProfileEvent(NamedTuple):
     """One observation: an enter or an exit.
 
     ``wall_ns`` comes from the process monotonic clock, ``cpu_ns`` from the
@@ -69,8 +71,7 @@ class ProfileEvent:
     tag: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class NestingViolation:
+class NestingViolation(NamedTuple):
     """An exit that did not match the innermost open enter.
 
     Violations are recorded, not raised: the stream stays parseable and
@@ -81,3 +82,17 @@ class NestingViolation:
     wall_ns: int
     site: CodeSite
     detail: str
+
+
+class ClockCalibration(NamedTuple):
+    """Measured clock costs and the per-event overhead they imply."""
+
+    wall_cost_ns: int
+    cpu_cost_ns: int
+    cpu_refresh_wall_ns: int
+    pair_overhead_ns: int
+
+    @property
+    def overhead_budget_ns(self) -> int:
+        """Upper bound a single empty enter/exit pair should stay under."""
+        return max(20_000, 8 * self.pair_overhead_ns)

@@ -11,16 +11,23 @@ from __future__ import annotations
 import os
 import resource
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+from planeprof.structs import Checked
 
 
 class ProcessNotFound(Exception):
     """The requested process is gone or was never supervised here."""
 
 
-@dataclass(frozen=True)
-class CoarseBreakdown:
+class _CoarseFields(NamedTuple):
+    elapsed_s: float
+    user_s: float
+    system_s: float
+
+
+class CoarseBreakdown(Checked, _CoarseFields):
     """Elapsed/user/system split for one process.
 
     ``other_s`` is exactly ``max(0, elapsed - user - system)``;
@@ -30,12 +37,10 @@ class CoarseBreakdown:
     host that reports several CPUs but delivers about one never sets it.
     """
 
-    elapsed_s: float
-    user_s: float
-    system_s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("elapsed_s", "user_s", "system_s"):
+    def _check(self) -> None:
+        for name in self._fields:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

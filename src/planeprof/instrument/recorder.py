@@ -19,11 +19,11 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from planeprof.instrument.events import (
     TAG_SLEEP,
+    ClockCalibration,
     CodeSite,
     EventKind,
     NestingViolation,
@@ -34,29 +34,10 @@ from planeprof.instrument.events import (
 _ENTER = "E"
 _EXIT = "X"
 
-# The profiling levels, all of them on by default. ``coarse`` process clock
-# splits are always collected; ``events`` turns the recorder on.
-LEVELS = ("coarse", "events")
-
 # Above this per-read cost the CPU clock is too expensive to touch on every
 # event (virtualized hosts commonly take several microseconds per read).
 _CPU_COST_THRESHOLD_NS = 1_000
 _DEFAULT_CPU_REFRESH_NS = 1_000_000
-
-
-@dataclass(frozen=True)
-class ClockCalibration:
-    """Measured clock costs and the per-event overhead they imply."""
-
-    wall_cost_ns: int
-    cpu_cost_ns: int
-    cpu_refresh_wall_ns: int
-    pair_overhead_ns: int
-
-    @property
-    def overhead_budget_ns(self) -> int:
-        """Upper bound a single empty enter/exit pair should stay under."""
-        return max(20_000, 8 * self.pair_overhead_ns)
 
 
 def _measure_clock_cost(clock: Callable[[], int], n: int = 2_000) -> int:
@@ -175,7 +156,7 @@ class Recorder:
         if log is None:
             log = self._log()
         stack = log.stack
-        # ``is`` first: ``!=`` on a frozen dataclass builds two tuples
+        # ``is`` first: ``!=`` compares the sites field by field
         if not stack or (stack[-1] is not site and stack[-1] != site):
             with self._violations_lock:
                 self._violations.append(

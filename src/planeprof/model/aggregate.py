@@ -55,8 +55,8 @@ class _Thread:
     """One thread's walk: open frames, open count per site, closed rows.
 
     Sites are keyed by ``id()``: every site is held by a frame or a row
-    for the whole walk, so no id is reused, and no dataclass hash runs
-    per event.
+    for the whole walk, so no id is reused, and no site hash runs per
+    event.
     """
 
     __slots__ = (

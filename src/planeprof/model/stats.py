@@ -6,23 +6,15 @@ seconds appear only in rendered reports and derived per-call values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from planeprof.instrument.events import CodeSite
+from planeprof.structs import Checked, Struct
 
 NS_PER_S = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class FunctionStats:
-    """Call counts and exclusive/inclusive times for one code site.
-
-    ``ncalls_primitive`` counts activations that were not re-entered
-    recursively; inclusive time (``cumtime``) accrues once per primitive
-    activation, so recursion never double counts.
-    """
-
+class _FunctionFields(NamedTuple):
     site: CodeSite
     ncalls_total: int
     ncalls_primitive: int
@@ -30,7 +22,18 @@ class FunctionStats:
     cumtime_ns: int
     tag: Optional[str] = None
 
-    def __post_init__(self) -> None:
+
+class FunctionStats(Checked, _FunctionFields):
+    """Call counts and exclusive/inclusive times for one code site.
+
+    ``ncalls_primitive`` counts activations that were not re-entered
+    recursively; inclusive time (``cumtime``) accrues once per primitive
+    activation, so recursion never double counts.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.ncalls_primitive > self.ncalls_total:
             raise ValueError("primitive calls cannot exceed total calls")
         if self.tottime_ns < 0 or self.cumtime_ns < self.tottime_ns:
@@ -73,16 +76,19 @@ class FunctionStats:
         )
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    """Per-statement-region hits and time within one function scope."""
-
+class _RegionFields(NamedTuple):
     site: CodeSite
     hits: int
     time_ns: int
     pct_time: float
 
-    def __post_init__(self) -> None:
+
+class RegionStats(Checked, _RegionFields):
+    """Per-statement-region hits and time within one function scope."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.hits < 0:
             raise ValueError("hits must be >= 0")
         if not 0.0 <= self.pct_time <= 100.0:
@@ -97,17 +103,20 @@ class RegionStats:
         return self.time_s / self.hits if self.hits > 0 else None
 
 
-@dataclass(frozen=True)
-class ThreadStats:
-    """Per-thread function row: calls, exclusive and inclusive time."""
-
+class _ThreadFields(NamedTuple):
     name: str
     site: CodeSite
     ncall: int
     tsub_ns: int
     ttot_ns: int
 
-    def __post_init__(self) -> None:
+
+class ThreadStats(Checked, _ThreadFields):
+    """Per-thread function row: calls, exclusive and inclusive time."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.ttot_ns < self.tsub_ns:
             raise ValueError("need ttot >= tsub")
 
@@ -124,16 +133,26 @@ class ThreadStats:
         return self.ttot_s / self.ncall if self.ncall else 0.0
 
 
-@dataclass
-class FunctionProfile:
+class FunctionProfile(Struct):
     """A set of function rows plus the run identity they came from."""
 
-    rows: Dict[CodeSite, FunctionStats] = field(default_factory=dict)
-    run_id: str = "-"
-    scenario: str = "-"
-    scale_factor: float = 1.0
-    sources: Tuple[str, ...] = ()
-    wall_span_ns: int = 0
+    __slots__ = ("rows", "run_id", "scenario", "scale_factor", "sources", "wall_span_ns")
+
+    def __init__(
+        self,
+        rows: Optional[Dict[CodeSite, FunctionStats]] = None,
+        run_id: str = "-",
+        scenario: str = "-",
+        scale_factor: float = 1.0,
+        sources: Tuple[str, ...] = (),
+        wall_span_ns: int = 0,
+    ) -> None:
+        self.rows = {} if rows is None else rows
+        self.run_id = run_id
+        self.scenario = scenario
+        self.scale_factor = scale_factor
+        self.sources = sources
+        self.wall_span_ns = wall_span_ns
 
     @property
     def total_calls(self) -> int:
@@ -155,10 +174,17 @@ class FunctionProfile:
         return out
 
 
-@dataclass
-class RegionProfile:
+class RegionProfile(Struct):
     """Region rows inside one function scope."""
 
-    scope: CodeSite
-    scope_time_ns: int
-    rows: Dict[CodeSite, RegionStats] = field(default_factory=dict)
+    __slots__ = ("scope", "scope_time_ns", "rows")
+
+    def __init__(
+        self,
+        scope: CodeSite,
+        scope_time_ns: int,
+        rows: Optional[Dict[CodeSite, RegionStats]] = None,
+    ) -> None:
+        self.scope = scope
+        self.scope_time_ns = scope_time_ns
+        self.rows = {} if rows is None else rows

@@ -1,13 +1,24 @@
 """Rendering profiles and findings as text tables, CSV and structured JSON.
 
 Import the submodules directly; this package re-exports only the names the
-benchmark's layer timings use.
+benchmark's layer timings use, and imports each of them on first use (PEP
+562), so that importing a submodule loads nothing else.
 """
 
-from planeprof.reporting.exports import export_json, import_json
-from planeprof.reporting.summary import render_summary, write_dump_index
-from planeprof.reporting.tables import ReportKind, ReportSpec, render
+from planeprof import lazy_exports
 
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ReportKind": "tables",
+        "ReportSpec": "tables",
+        "export_json": "exports",
+        "import_json": "exports",
+        "render": "tables",
+        "render_summary": "summary",
+        "write_dump_index": "summary",
+    },
+)
 __all__ = [
     "ReportKind",
     "ReportSpec",

@@ -8,7 +8,9 @@ header is its path without the ``meta`` and ``site`` steps, joined by ``_``.
 Times stay integer nanoseconds and floats are written with ``repr``, so a
 re-parse reproduces every numeric field exactly. The structured format is
 also the merged-profile and findings file format. Hotspot and compare CSVs
-leave fields out, so only their structured exports read back.
+leave fields out, so only their structured exports read back. Their types
+are imported when one is read back, so the other kinds never load the
+analysis modules.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Tuple
 
-from planeprof.analysis.categories import TimeCategory
-from planeprof.analysis.hotspots import CategoryDelta, CompareReport, HotspotFinding, SiteDelta
 from planeprof.instrument.events import CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.model.stats import (
@@ -32,6 +31,9 @@ from planeprof.model.stats import (
     ThreadStats,
 )
 from planeprof.reporting.tables import ReportKind
+
+if TYPE_CHECKING:
+    from planeprof.analysis.hotspots import CompareReport
 
 EXPORT_FORMAT = "planeprof-export"
 EXPORT_VERSION = 1
@@ -177,6 +179,9 @@ def _hotspot_doc(findings) -> dict:
 
 
 def _hotspot_data(doc: dict) -> list:
+    from planeprof.analysis.categories import TimeCategory
+    from planeprof.analysis.hotspots import HotspotFinding
+
     return [
         HotspotFinding(
             category=TimeCategory(row["category"]),
@@ -201,6 +206,9 @@ def _compare_doc(report: CompareReport) -> dict:
 
 
 def _compare_data(doc: dict) -> CompareReport:
+    from planeprof.analysis.categories import TimeCategory
+    from planeprof.analysis.hotspots import CategoryDelta, CompareReport, SiteDelta
+
     categories = [
         CategoryDelta(category=TimeCategory(c["category"]), **_parse(c, _CATEGORY))
         for c in doc["categories"]
@@ -217,8 +225,7 @@ def _compare_data(doc: dict) -> CompareReport:
     )
 
 
-@dataclass(frozen=True)
-class _Schema:
+class _Schema(NamedTuple):
     to_doc: Callable[[Any], dict]
     from_doc: Callable[[dict], Any]
     csv_rows: str  # the document list that holds the CSV rows

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from planeprof.instrument.dumpio import DumpInfo, read_dump_info
-from planeprof.instrument.recorder import ClockCalibration
+from planeprof.instrument.events import ClockCalibration
 
 INDEX_NAME = "index.txt"
 

@@ -5,20 +5,34 @@ formatted at presentation time (half-up rounding, seconds in function
 tables, microseconds in line tables). ``_KINDS`` holds one entry per report
 kind; ``render`` checks the data and the sort key, then sorts and cuts the
 kind's rows, the same way for every kind. Sorting is stable: rows with
-equal keys keep their input order.
+equal keys keep their input order. The analysis modules are imported by
+the renderers of the kinds that use them, so a function or thread table
+never loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
-from planeprof.analysis.hotspots import CompareReport, HotspotFinding, SiteDelta
-from planeprof.analysis.percentages import coarse_percentages, round_half_up
-from planeprof.instrument.proctimes import CoarseBreakdown
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
+from planeprof.structs import Checked
+
+if TYPE_CHECKING:
+    from planeprof.analysis.hotspots import CompareReport, HotspotFinding, SiteDelta
+    from planeprof.instrument.proctimes import CoarseBreakdown
 
 
 class InvalidSortKey(Exception):
@@ -40,15 +54,18 @@ class ReportFormat(str, Enum):
     STRUCTURED = "structured"
 
 
-@dataclass(frozen=True)
-class ReportSpec:
+class _SpecFields(NamedTuple):
     kind: ReportKind
     sort_key: Optional[str] = None
     top_n: Optional[int] = None
     output: Optional[Path] = None  # None = stdout
     format: ReportFormat = ReportFormat.TEXT
 
-    def __post_init__(self) -> None:
+
+class ReportSpec(Checked, _SpecFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.top_n is not None and self.top_n < 1:
             raise ValueError("top_n must be >= 1 or None for unlimited")
 
@@ -100,6 +117,8 @@ def _render_function_table(profile: FunctionProfile, rows: list, label: str) -> 
 
 
 def _render_line_table(profile: RegionProfile, rows: list, label: str) -> str:
+    from planeprof.analysis.percentages import round_half_up
+
     scope = profile.scope
     lines = [
         "Timer unit: 1e-06 s",
@@ -140,6 +159,8 @@ def _render_thread_table(_data, rows: List[ThreadStats], label: str) -> str:
 
 
 def _render_coarse_table(_data, items: List[Tuple[str, CoarseBreakdown]], _label) -> str:
+    from planeprof.analysis.percentages import coarse_percentages, round_half_up
+
     lines = [
         "Coarse time split (seconds)",
         "",
@@ -164,6 +185,8 @@ def _render_coarse_table(_data, items: List[Tuple[str, CoarseBreakdown]], _label
 
 
 def _render_hotspots(_data, findings: List[HotspotFinding], _label) -> str:
+    from planeprof.analysis.percentages import round_half_up
+
     lines = [
         "Hotspot findings (ranked by share of run time)",
         "",
@@ -187,6 +210,8 @@ def _moved_sites(report: CompareReport) -> List[SiteDelta]:
 
 
 def _render_compare(report: CompareReport, sites: List[SiteDelta], _label) -> str:
+    from planeprof.analysis.percentages import round_half_up
+
     lines = [
         f"Before/after comparison for scenario {report.scenario!r}",
         "",
@@ -214,9 +239,10 @@ def _render_compare(report: CompareReport, sites: List[SiteDelta], _label) -> st
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _Kind:
-    data_type: type  # what the kind renders
+class _Kind(NamedTuple):
+    # what the kind renders: a type, or "module:name" of one that is loaded
+    # only for this kind
+    data_type: type | str
     rows: Callable[[Any], Iterable]  # the rows that sort_key and top_n act on
     # sort key name -> ("Ordered by" label, key function); the first is the default
     sorts: Dict[str, Tuple[str, Callable]]
@@ -235,15 +261,21 @@ _KINDS: Dict[ReportKind, _Kind] = {
         dict, lambda breakdowns: sorted(breakdowns.items()), {}, _render_coarse_table
     ),
     ReportKind.HOTSPOT_REPORT: _Kind(list, lambda findings: findings, {}, _render_hotspots),
-    ReportKind.COMPARE_REPORT: _Kind(CompareReport, _moved_sites, {}, _render_compare),
+    ReportKind.COMPARE_REPORT: _Kind(
+        "planeprof.analysis.hotspots:CompareReport", _moved_sites, {}, _render_compare
+    ),
 }
 
 
 def render(data, spec: ReportSpec) -> str:
     """Render ``data`` as the requested kind and format."""
     kind = _KINDS[spec.kind]
-    if not isinstance(data, kind.data_type):
-        raise TypeError(f"{spec.kind.value} needs a {kind.data_type.__name__}")
+    data_type = kind.data_type
+    if isinstance(data_type, str):
+        module, _, name = data_type.partition(":")
+        data_type = getattr(import_module(module), name)
+    if not isinstance(data, data_type):
+        raise TypeError(f"{spec.kind.value} needs a {data_type.__name__}")
     if spec.sort_key is not None and spec.sort_key not in kind.sorts:
         raise InvalidSortKey(f"{spec.sort_key!r} is not a sort key for {spec.kind.value}")
     if spec.format is not ReportFormat.TEXT:

@@ -33,14 +33,21 @@ import socket
 import sys
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from planeprof.instrument.dumpio import DumpMeta, DumpWriter
-from planeprof.instrument.events import TAG_HEARTBEAT, TAG_POLL, CodeSite, SiteKind
+from planeprof.instrument.events import (
+    LEVELS,
+    TAG_HEARTBEAT,
+    TAG_POLL,
+    ClockCalibration,
+    CodeSite,
+    SiteKind,
+)
 from planeprof.instrument.proctimes import ProcessTimer
-from planeprof.instrument.recorder import LEVELS, ClockCalibration, Recorder
+from planeprof.instrument.recorder import Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.wire import (
     FrameDecoder,
@@ -190,9 +197,7 @@ def _env_text(value: Any) -> str:
     """A field's value as its spawn variable's text."""
     if isinstance(value, NodeRole):
         return value.value
-    if isinstance(value, ClockCalibration):
-        value = astuple(value)
-    if isinstance(value, tuple):
+    if isinstance(value, tuple):  # the levels, or a ClockCalibration
         return ",".join(map(str, value))
     return str(value)
 

@@ -29,9 +29,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from planeprof.instrument.dumpio import DumpWriter
-from planeprof.instrument.events import TAG_SPAWN, CodeSite, SiteKind
+from planeprof.instrument.events import LEVELS, TAG_SPAWN, CodeSite, SiteKind
 from planeprof.instrument.proctimes import CoarseBreakdown, ProcessTimer, breakdown_from_rusage
-from planeprof.instrument.recorder import LEVELS, Recorder
+from planeprof.instrument.recorder import Recorder
 from planeprof.testbed.config import NodeRole, ScenarioConfig
 from planeprof.testbed.entity import (
     SHARED_SETTINGS,

@@ -508,6 +508,63 @@ class TestStreaming:
         assert "planeprof.testbed.orchestrator" not in loaded
         assert "planeprof.testbed.entity" not in loaded
 
+    def test_read_command_loads_only_what_it_runs(self, run_dir, tmp_path):
+        # a fresh interpreter, as the command line starts: no dataclass code
+        # generation, and no module that a thread table does not run
+        probe = (
+            "import sys, planeprof.cli; "
+            "code = planeprof.cli.main(['report', '--dumps', sys.argv[1], '--kind', "
+            "'thread_table', '--format', 'structured', '--out', sys.argv[2]]); "
+            "print(code, sorted(sys.modules))"
+        )
+        out = tmp_path / "threads.json"
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(run_dir), str(out)],
+            capture_output=True, text=True, check=True,
+        )
+        code, loaded = done.stdout.splitlines()[-1].split(" ", 1)
+        assert code == str(EXIT_OK) and out.exists()
+        unused = [
+            "dataclasses",
+            "decimal",
+            "planeprof.analysis.hotspots",
+            "planeprof.instrument.recorder",
+            "planeprof.reporting.summary",
+        ]
+        assert [m for m in unused if repr(m) in loaded] == []
+
+
+_POST_RUN_PROBE = """
+import sys
+import planeprof.cli
+from planeprof.testbed.orchestrator import RunningTopology
+
+shutdown = RunningTopology.shutdown
+at_shutdown = []
+
+
+def recorded(self, *args, **kwargs):
+    coarse = shutdown(self, *args, **kwargs)
+    at_shutdown.append(set(sys.modules))
+    return coarse
+
+
+RunningTopology.shutdown = recorded
+code = planeprof.cli.main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+late = set(sys.modules) - at_shutdown[0]
+print(code, sorted(m for m in late if m.startswith("planeprof") or m == "decimal"))
+"""
+
+
+def test_post_run_step_imports_nothing_new(scenario_file, tmp_path):
+    """A module first imported after the run's window would be timed as
+    post-run work: everything the post-run step runs is loaded before."""
+    done = subprocess.run(
+        [sys.executable, "-c", _POST_RUN_PROBE, str(scenario_file), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
 
 class TestDumpSize:
     def test_quick_run_stays_under_24_bytes_per_event(self, tmp_path):
@@ -553,6 +610,23 @@ class TestReport:
             main([*args, "--top", "0", "--out", str(tmp_path / "t.txt")])
         assert exc.value.code == EXIT_CONFIG
         assert "--top: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "flag", ["analyze --threshold", "report --threshold", "compare --epsilon"]
+    )
+    def test_bad_numeric_flag_is_usage_error(self, run_dir, tmp_path, capsys, flag, value):
+        command, option = flag.split()
+        args = {
+            "analyze": ["analyze", "--dumps", str(run_dir)],
+            "report": ["report", "--dumps", str(run_dir), "--kind", "hotspot_report"],
+            "compare": ["compare", "--before", str(run_dir), "--after", str(run_dir)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"{option}={value}", "--out", str(tmp_path / "t.txt")])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"{option}: must be finite and >= 0, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
 
     @pytest.mark.parametrize(
         "rules", ["poll = nonsense\n", "# ok\npoll_wait\n"], ids=["category", "no-equals"]

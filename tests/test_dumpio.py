@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 import threading
 from itertools import groupby
@@ -433,7 +432,7 @@ def _batches(items, data):
 
 def _fresh(rec):
     """``rec`` with a new site object of equal value."""
-    return (rec[0], dataclasses.replace(rec[1]), *rec[2:])
+    return (rec[0], rec[1]._replace(), *rec[2:])
 
 
 class TestDumpWriter:

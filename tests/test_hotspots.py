@@ -88,9 +88,7 @@ class TestCompare:
             profile = make_profile(("poll_wait", 9_000 * MS, 9_000 * MS, "poll"))
             s = site("poll_wait")
             row = profile.rows[s]
-            from dataclasses import replace
-
-            profile.rows[s] = replace(row, ncalls_total=ncalls, ncalls_primitive=ncalls)
+            profile.rows[s] = row._replace(ncalls_total=ncalls, ncalls_primitive=ncalls)
             return profile
 
         report = compare(poll_profile(10_000), poll_profile(200))
