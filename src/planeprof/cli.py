@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Tuple
 
 from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump_info
 from planeprof.instrument.events import LEVELS, CodeSite, SiteKind
-from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_stream
+from planeprof.model.aggregate import UnknownScope, profile_from_path, walk_cached, walk_stream
 from planeprof.model.merge import RunIdMismatch, merge_profiles
 from planeprof.model.stats import FunctionProfile, RegionProfile, ThreadStats
 from planeprof.reporting.exports import ExportFormatError, read_export, write_export
@@ -136,10 +136,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         levels = _parse_levels(args.levels)
         out = Path(args.out) if args.out else Path(f"run-{config.scenario_id}")
         out.mkdir(parents=True, exist_ok=True)
-        # a rerun must not mix with a previous run's dumps, whole or unfinished
+        # a rerun must not mix with a previous run's dumps, whole or
+        # unfinished, nor with the rows files of their walks
         dumps = out / "dumps"
-        for stale in [*dumps.glob("*.dump"), *dumps.glob("*.dump.part")]:
-            stale.unlink()
+        for pattern in ("*.dump", "*.dump.part", "*.dump.rows*"):
+            for stale in dumps.glob(pattern):
+                stale.unlink()
         recorder = Recorder(enabled="events" in levels)
         run_id = f"{config.scenario_id}-seed{config.seed}"
         topo = bootstrap(config, run_dir=out, recorder=recorder, run_id=run_id, levels=levels)
@@ -242,13 +244,25 @@ def _thread_table(paths: List[Path], entity: str) -> List[ThreadStats]:
     for path in paths:
         with DumpStream(path) as stream:
             if stream.meta.entity == entity:
-                return walk_stream(stream).thread_table()
+                return walk_cached(stream).thread_table()
     raise CliError(f"no dump for entity {entity!r}")
+
+
+# The report flags that one kind alone reads, and only from dumps.
+_KIND_FLAGS = {
+    "scope": ReportKind.LINE_TABLE,
+    "entity": ReportKind.THREAD_TABLE,
+    "threshold": ReportKind.HOTSPOT_REPORT,
+    "rules": ReportKind.HOTSPOT_REPORT,
+}
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     kind = ReportKind(args.kind)
     fmt = ReportFormat(args.format)
+    for flag, reader in _KIND_FLAGS.items():
+        if getattr(args, flag) is not None and (args.export or kind is not reader):
+            raise CliError(f"--{flag} applies only to --kind {reader.value} read from --dumps")
     if args.export:
         try:
             loaded_kind, data = read_export(Path(args.export))
@@ -272,8 +286,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         else:
             from planeprof.analysis.hotspots import find_hotspots
 
+            threshold = 1.0 if args.threshold is None else args.threshold
             data = find_hotspots(
-                _merged_profile(dumps), min_share_pct=args.threshold, rules=_rules(args.rules)
+                _merged_profile(dumps), min_share_pct=threshold, rules=_rules(args.rules)
             )
     suffix = {"text": "txt", "csv": "csv", "structured": "json"}[fmt.value]
     out = Path(args.out) if args.out else Path(f"{kind.value}.{suffix}")
@@ -349,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("report", help="render one table from dumps or an export")
-    p.add_argument("--dumps", help="run or dumps directory")
-    p.add_argument("--export", help="structured export to re-render")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dumps", help="run or dumps directory")
+    source.add_argument("--export", help="structured export to re-render")
     p.add_argument(
         "--kind",
         default="function_table",
@@ -368,9 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", default="text", choices=[f.value for f in ReportFormat])
     p.add_argument("--scope", help="function symbol for line_table")
-    p.add_argument("--entity", help="entity for thread_table")
-    p.add_argument("--threshold", type=_finite_non_negative, default=1.0)
-    p.add_argument("--rules", help="category rules file")
+    p.add_argument("--entity", help="entity for thread_table (default orchestrator)")
+    p.add_argument(
+        "--threshold",
+        type=_finite_non_negative,
+        help="min share %% per finding for hotspot_report (default 1.0)",
+    )
+    p.add_argument("--rules", help="category rules file for hotspot_report")
     p.add_argument("--out", help="output path")
     p.set_defaults(func=cmd_report)
 
@@ -395,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report" and not (args.dumps or args.export):
-        parser.error("report needs --dumps or --export")
     try:
         return args.func(args)
     except _usage_errors() as exc:

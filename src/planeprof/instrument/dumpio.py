@@ -80,8 +80,9 @@ from planeprof.structs import Struct
 
 FORMAT_LINE = "profile-dump 4"
 
-_KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+# A site kind's one-letter code in ``site`` and ``V`` lines.
+KIND_CODE = {SiteKind.FUNCTION: "F", SiteKind.REGION: "R", SiteKind.BUILTIN: "B"}
+CODE_KIND = {v: k for k, v in KIND_CODE.items()}
 _EVENT_CODE = {EventKind.ENTER: "E", EventKind.EXIT: "X"}
 _RECORD_CODES = ("E", "X", "V", "T", "site")
 
@@ -226,7 +227,7 @@ class DumpWriter:
                 if number is None:
                     text = (
                         f"{_clean(site.file)}\t{site.line}\t{_clean(site.symbol)}"
-                        f"\t{_KIND_CODE[site.kind]}\t{_clean(tag) if tag else '-'}"
+                        f"\t{KIND_CODE[site.kind]}\t{_clean(tag) if tag else '-'}"
                     )
                     number = by_text.get(text)
                     if number is None:
@@ -253,7 +254,7 @@ class DumpWriter:
         """Write the ``V`` lines and the footer, then give the file its name."""
         lines = [
             f"V\t{v.thread_id}\t{v.wall_ns}\t{_clean(v.site.file)}\t{v.site.line}"
-            f"\t{_clean(v.site.symbol)}\t{_KIND_CODE[v.site.kind]}\t{_clean(v.detail)}"
+            f"\t{_clean(v.site.symbol)}\t{KIND_CODE[v.site.kind]}\t{_clean(v.detail)}"
             for v in violations
         ]
         lines.append("end_events")
@@ -394,17 +395,21 @@ class DumpStream:
     sites are one object, so consumers may compare sites with ``is``. Every
     line is validated; ``V`` records are collected in :attr:`violations`. The
     counts footer is checked against the body before the generator
-    finishes, so a consumer has used no result of a dump that fails it.
+    finishes, so a consumer has used no result of a dump that fails it;
+    :attr:`events` is its event count once it has passed.
     :attr:`line` is the number of the line last read, for errors a
-    consumer finds in a record.
+    consumer finds in a record. :attr:`stat` is the open file's
+    ``os.stat_result``, taken before any line is read.
     """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.violations: List[NestingViolation] = []
         self.coarse: Optional[CoarseBreakdown] = None
+        self.events = 0
         self.line = 0
         self._file = self.path.open(encoding="utf-8", newline="\n")
+        self.stat = os.fstat(self._file.fileno())
         try:
             self.meta, self.calibration, self.line = _parse_header(
                 line.rstrip("\n") for line in self._file
@@ -463,7 +468,7 @@ class DumpStream:
                             f"line {self.line}: site {number[:-1]!r} defined twice"
                         )
                     int(number)  # numbers are integers, kept as their text
-                    site = CodeSite(file, int(lineno), symbol, _CODE_KIND[kind])
+                    site = CodeSite(file, int(lineno), symbol, CODE_KIND[kind])
                     tag = tag.rstrip("\n")
                     sites[number] = (by_value.setdefault(site, site), None if tag == "-" else tag)
                     uncounted += 1
@@ -473,7 +478,7 @@ class DumpStream:
                         NestingViolation(
                             thread_id=int(thread_text),
                             wall_ns=int(violation_wall),
-                            site=CodeSite(file, int(lineno), symbol, _CODE_KIND[kind]),
+                            site=CodeSite(file, int(lineno), symbol, CODE_KIND[kind]),
                             detail=detail.rstrip("\n"),
                         )
                     )
@@ -499,6 +504,17 @@ class DumpStream:
                 f"line {self.line + 1 + at}: footer counts {events} events and "
                 f"{violations} violations, the body holds {body} and {len(self.violations)}"
             )
+        self.events = events
+
+    def footer_counts(self) -> Tuple[int, int]:
+        """The footer's event and violation counts, read from the end of the
+        open file without its event lines and not checked against them."""
+        size = self.stat.st_size
+        start = max(0, size - _TAIL_BYTES)
+        try:
+            return _footer_of_tail(os.pread(self._file.fileno(), size - start, start))[:2]
+        except (DumpFormatError, UnicodeDecodeError) as exc:
+            raise self._error(str(exc)) from None
 
     def _error(self, message: str) -> DumpFormatError:
         return DumpFormatError(f"{self.path}: {message}")
@@ -527,13 +543,18 @@ def read_dump_info(path: Path | str) -> DumpInfo:
             )
             size = f.seek(0, os.SEEK_END)
             f.seek(max(0, size - _TAIL_BYTES))
-            tail = f.read()
-        at = tail.rfind(_END_EVENTS)
-        if at < 0:
-            raise DumpFormatError("no end_events line near the end: the dump is torn")
-        events, violations, coarse, _ = _parse_footer(
-            tail[at + len(_END_EVENTS):].decode("utf-8").splitlines()
-        )
+            events, violations, coarse = _footer_of_tail(f.read())
     except (DumpFormatError, UnicodeDecodeError) as exc:
         raise DumpFormatError(f"{path}: {exc}") from None
     return DumpInfo(meta, calibration, events, violations, coarse)
+
+
+def _footer_of_tail(tail: bytes) -> Tuple[int, int, Optional[CoarseBreakdown]]:
+    """The footer in the last bytes of a dump: (events, violations, coarse)."""
+    at = tail.rfind(_END_EVENTS)
+    if at < 0:
+        raise DumpFormatError("no end_events line near the end: the dump is torn")
+    events, violations, coarse, _ = _parse_footer(
+        tail[at + len(_END_EVENTS):].decode("utf-8").splitlines()
+    )
+    return events, violations, coarse

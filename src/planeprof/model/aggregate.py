@@ -10,14 +10,45 @@ primitive activations, so recursive re-entries are counted once. All
 arithmetic is on integer nanoseconds, which makes the per-thread
 conservation identity exact: the exclusive times of a fully bracketed
 stream telescope to the sum of its top-level spans.
+
+A walk without a scope is kept beside its dump, so a run's later reads
+skip the event lines. :func:`walk_cached` writes ``<name>.dump.rows``
+once a walk has read the whole dump and the stream has checked its
+footer counts, and reads it back while its key still matches the dump.
+The file is tab-separated text:
+
+    planeprof-rows 1
+    key\t<size>\t<mtime_ns>\t<ctime_ns>\t<events>\t<violations>
+    thread\t<id>\t<span_ns>              # opens that thread's rows
+    row\t<file>\t<line>\t<symbol>\t<site kind>\t<tag or ->
+       \t<ncalls>\t<primitive>\t<tot_ns>\t<cum_ns>    # one line, wrapped here
+    end
+
+The key is the dump's size, modification and change times, and its
+footer's counts; ``utime`` cannot set the change time back, so rewriting
+a dump in place changes the key. Threads come in ascending id and each
+thread's rows in the order the walk closed their sites first, so a walk
+read back gives the same tables, row order and tags as the walk that
+wrote it. A missing, unreadable, malformed or stale file, or a dump
+whose footer cannot be read, is a miss: the dump is walked again, with
+the same errors. A rows file that cannot be written is skipped.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from planeprof.instrument.dumpio import Dump, DumpFormatError, DumpMeta, DumpStream, records_of
+from planeprof.instrument.dumpio import (
+    CODE_KIND,
+    KIND_CODE,
+    Dump,
+    DumpFormatError,
+    DumpMeta,
+    DumpStream,
+    records_of,
+)
 from planeprof.instrument.events import CodeSite, ProfileEvent, SiteKind
 from planeprof.model.stats import (
     FunctionProfile,
@@ -251,6 +282,120 @@ def walk_stream(stream: DumpStream, scope_symbol: Optional[str] = None) -> Walk:
         raise DumpFormatError(f"{stream.path}: line {stream.line}: {exc}") from None
 
 
+ROWS_VERSION = "planeprof-rows 1"
+
+
+def rows_path(dump: Path) -> Path:
+    """Where the rows of ``dump``'s walk are kept: ``<name>.dump.rows``."""
+    return dump.with_name(dump.name + ".rows")
+
+
+def walk_cached(stream: DumpStream) -> Walk:
+    """A dump's walk without a scope, read from its rows file while that
+    file's key matches the dump; otherwise the dump is walked and the rows
+    file written for the next read."""
+    path = rows_path(stream.path)
+    found = _read_rows(path, stream)
+    if found is not None:
+        return found
+    result = walk_stream(stream)
+    key = f"{_stat_key(stream.stat)}\t{stream.events}\t{len(stream.violations)}"
+    _write_rows(path, key, result)
+    return result
+
+
+def _stat_key(stat: os.stat_result) -> str:
+    return f"key\t{stat.st_size}\t{stat.st_mtime_ns}\t{stat.st_ctime_ns}"
+
+
+def _read_rows(path: Path, stream: DumpStream) -> Optional[Walk]:
+    """The walk kept in ``path``, or ``None`` for a miss."""
+    try:
+        with path.open(encoding="utf-8", newline="\n") as f:
+            lines = f.read().split("\n")
+        if len(lines) < 4 or lines[0] != ROWS_VERSION or lines[-2:] != ["end", ""]:
+            return None
+        head = _stat_key(stream.stat)
+        if not lines[1].startswith(head + "\t"):
+            return None
+        kept = _walk_of_rows(lines[2:-2])
+        events, violations = stream.footer_counts()
+    except (OSError, UnicodeDecodeError, ValueError, KeyError, DumpFormatError):
+        return None
+    return kept if lines[1] == f"{head}\t{events}\t{violations}" else None
+
+
+def _walk_of_rows(lines: List[str]) -> Walk:
+    """The ``thread`` and ``row`` lines of a rows file as a walk; a line
+    that no walk could have written raises ``ValueError``."""
+    threads: Dict[int, _Thread] = {}
+    sites: Dict[CodeSite, CodeSite] = {}
+    thread = None
+    for line in lines:
+        fields = line.split("\t")
+        if fields[0] == "row" and thread is not None:
+            _, file, lineno, symbol, kind, tag, ncalls, nprim, tot_ns, cum_ns = fields
+            site = CodeSite(file, int(lineno), symbol, CODE_KIND[kind])
+            site = sites.setdefault(site, site)
+            row = _Row(site)
+            row.ncalls, row.nprim, row.tot_ns, row.cum_ns = (
+                int(ncalls), int(nprim), int(tot_ns), int(cum_ns)
+            )
+            row.tag = None if tag == "-" else tag
+            if (
+                id(site) in thread.rows
+                or not 0 <= row.nprim <= row.ncalls
+                or not 0 <= row.tot_ns <= row.cum_ns
+                or _row_line(row) != line
+            ):
+                raise ValueError(line)
+            thread.rows[id(site)] = row
+        elif fields[0] == "thread":
+            _, ident_text, span_ns = fields
+            ident = int(ident_text)
+            thread = _Thread()
+            thread.span_ns = int(span_ns)
+            if ident in threads or thread.span_ns < 0 or _thread_line(ident, thread) != line:
+                raise ValueError(line)
+            threads[ident] = thread
+        else:
+            raise ValueError(line)
+    return Walk(threads, None, False)
+
+
+def _thread_line(ident: int, thread: _Thread) -> str:
+    return f"thread\t{ident}\t{thread.span_ns}"
+
+
+def _row_line(row: _Row) -> str:
+    site = row.site
+    return (
+        f"row\t{site.file}\t{site.line}\t{site.symbol}\t{KIND_CODE[site.kind]}"
+        f"\t{'-' if row.tag is None else row.tag}"
+        f"\t{row.ncalls}\t{row.nprim}\t{row.tot_ns}\t{row.cum_ns}"
+    )
+
+
+def _write_rows(path: Path, key: str, result: Walk) -> None:
+    """Write ``result`` to ``path`` through a temporary file of this
+    process; any ``OSError`` leaves no file and is ignored."""
+    lines = [ROWS_VERSION, key]
+    for ident, thread in result._threads:
+        lines.append(_thread_line(ident, thread))
+        lines.extend(_row_line(row) for row in thread.rows.values())
+    lines.append("end\n")
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("wb") as f:
+            f.write("\n".join(lines).encode("utf-8"))
+        os.replace(temporary, path)
+    except OSError:
+        try:
+            temporary.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
 def _identified(profile: FunctionProfile, meta: DumpMeta) -> FunctionProfile:
     return profile.with_meta(
         run_id=meta.run_id,
@@ -261,9 +406,10 @@ def _identified(profile: FunctionProfile, meta: DumpMeta) -> FunctionProfile:
 
 
 def profile_from_path(path: Path | str) -> FunctionProfile:
-    """Stream one dump file into its function profile, with its run identity."""
+    """One dump file's function profile, with its run identity, through
+    :func:`walk_cached`."""
     with DumpStream(path) as stream:
-        return _identified(walk_stream(stream).function_profile(), stream.meta)
+        return _identified(walk_cached(stream).function_profile(), stream.meta)
 
 
 def aggregate_functions(events: Iterable[ProfileEvent]) -> FunctionProfile:

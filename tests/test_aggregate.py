@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MS,
@@ -12,19 +18,29 @@ from helpers import (
     assert_conservation,
     assert_stats_match_oracle,
     ev,
+    oracle_aggregate,
     random_stream,
     site,
     stream,
 )
-from planeprof.instrument.dumpio import DumpFormatError, DumpStream, read_dump, write_dump
-from planeprof.instrument.events import CodeSite, SiteKind
+from planeprof.instrument.dumpio import (
+    DumpFormatError,
+    DumpMeta,
+    DumpStream,
+    read_dump,
+    write_dump,
+)
+from planeprof.instrument.events import ClockCalibration, CodeSite, SiteKind
 from planeprof.model.aggregate import (
+    ROWS_VERSION,
     MalformedStream,
     UnknownScope,
     aggregate_functions,
     aggregate_regions,
     aggregate_threads,
     bracketed_span_ns,
+    rows_path,
+    walk_cached,
     walk_stream,
 )
 
@@ -380,3 +396,144 @@ class TestStreamedWalk:
         assert str(info.value) == (
             f"{path}: line 20: wall clock regressed on thread 9: 1 < 160"
         )
+
+
+def _walked(path, cached=False):
+    with DumpStream(path) as stream:
+        return walk_cached(stream) if cached else walk_stream(stream)
+
+
+def _read_from_rows(path):
+    """The walk of ``path`` taken from its rows file; reading a record fails."""
+    with DumpStream(path) as stream:
+        stream.records = None  # a hit never calls it
+        return walk_cached(stream)
+
+
+def _tables(result):
+    profile = result.function_profile()
+    return (
+        list(profile.rows.items()),
+        profile.wall_span_ns,
+        result.thread_table(),
+        result.spans(),
+    )
+
+
+class TestRowsFile:
+    """A walk kept beside its dump reads back as the same tables."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=1 << 32), nthreads=st.integers(1, 4))
+    def test_round_trip_over_oracle_streams(self, seed, nthreads):
+        rng = random.Random(seed)
+        idents = rng.sample([1, 2, 9, 140_000_000_000_001, 140_000_000_000_002], nthreads)
+        per_thread = []
+        for ident in idents:
+            events = random_stream(rng, symbols=("a", "b", "c", "d", "c d"))
+            tags = [rng.choice((None, None, "poll", "x")) for _ in events]
+            per_thread.append(
+                [e._replace(thread_id=ident, tag=tag) for e, tag in zip(events, tags)]
+            )
+        # interleave the threads' blocks, keeping each thread's order
+        events = []
+        while any(per_thread):
+            block = rng.choice([t for t in per_thread if t])
+            cut = rng.randrange(1, len(block) + 1)
+            events += block[:cut]
+            del block[:cut]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "e.dump"
+            write_dump(path, DumpMeta(run_id="r", entity="e"), ClockCalibration(1, 1, 0, 1), events)
+            walked = _walked(path)
+            assert _tables(_walked(path, cached=True)) == _tables(walked)
+            assert rows_path(path).is_file()
+            cached = _read_from_rows(path)
+            assert _tables(cached) == _tables(walked)
+        # the threads overlap in time, so the oracle holds thread by thread
+        for ident in idents:
+            oracle = oracle_aggregate(e for e in events if e.thread_id == ident)
+            rows = {r.site: r for r in cached.thread_table() if r.name == str(ident)}
+            assert {s: (r.ncall, r.tsub_ns, r.ttot_ns) for s, r in rows.items()} == {
+                s: (o.ncalls_total, o.tottime_ns, o.cumtime_ns) for s, o in oracle.items()
+            }
+
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        path = tmp_path / "interleaved.dump"
+        path.write_text(_HEADER + _INTERLEAVED)
+        return path
+
+    def test_file_layout(self, interleaved):
+        _walked(interleaved, cached=True)
+        stat = interleaved.stat()
+        assert rows_path(interleaved).read_text() == (
+            f"{ROWS_VERSION}\n"
+            f"key\t{stat.st_size}\t{stat.st_mtime_ns}\t{stat.st_ctime_ns}\t15\t0\n"
+            "thread\t2\t95\n"
+            "row\ta.py\t9\twork\tF\t-\t2\t1\t20\t20\n"
+            "row\ta.py\t5\tpoll\tR\tx\t1\t1\t2\t2\n"
+            "row\ta.py\t1\tmain\tF\t-\t1\t1\t73\t95\n"
+            "thread\t9\t200\n"
+            "row\ta.py\t5\tpoll\tR\tpoll\t2\t2\t50\t50\n"
+            "row\ta.py\t1\tmain\tF\t-\t1\t1\t150\t200\n"
+            "end\n"
+        )
+
+    def test_in_place_rewrite_with_old_mtime_is_a_miss(self, interleaved):
+        before = _tables(_walked(interleaved, cached=True))
+        stat = interleaved.stat()
+        # file times may tick as coarsely as the kernel clock: a rewrite
+        # within the tick of the last change would keep the change time
+        time.sleep(0.05)
+        # thread 9's poll closes 10 ns later: same size, same counts
+        changed = _INTERLEAVED.replace("\nX\t40\t1\t2\n", "\nX\t50\t1\t2\n", 1)
+        interleaved.write_text(_HEADER + changed)
+        os.utime(interleaved, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        again = interleaved.stat()
+        assert (again.st_size, again.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        after = _tables(_walked(interleaved, cached=True))
+        assert after != before
+        assert after == _tables(_walked(interleaved))
+        assert _tables(_read_from_rows(interleaved)) == after
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "garbage", "truncated", "version", "key", "counts",
+            "bad-row", "no-end", "not-utf8", "empty",
+        ],
+    )
+    def test_bad_rows_file_is_a_miss_and_rewritten(self, interleaved, damage):
+        expected = _tables(_walked(interleaved, cached=True))
+        rows = rows_path(interleaved)
+        good = rows.read_bytes()
+        size = str(interleaved.stat().st_size).encode()
+        bad = {
+            "garbage": b"not a rows file\n",
+            "truncated": good[: len(good) // 2],
+            "version": good.replace(b"planeprof-rows 1", b"planeprof-rows 2"),
+            "key": good.replace(b"key\t" + size, b"key\t" + str(int(size) + 1).encode()),
+            "counts": good.replace(b"\t15\t0\n", b"\t14\t0\n", 1),
+            "bad-row": good.replace(b"\t2\t1\t20\t20\n", b"\t2\t1\t20\t+20\n"),
+            "no-end": good.replace(b"end\n", b""),
+            "not-utf8": good.replace(b"work", b"w\xffrk"),
+            "empty": b"",
+        }[damage]
+        assert bad != good
+        rows.write_bytes(bad)
+        with DumpStream(interleaved) as stream:
+            calls = []
+            records = stream.records
+            stream.records = lambda: calls.append(1) or records()
+            assert _tables(walk_cached(stream)) == expected
+        assert calls == [1]
+        assert rows.read_bytes() == good
+        assert _tables(_read_from_rows(interleaved)) == expected
+
+    def test_torn_dump_with_old_rows_file_fails_as_before(self, interleaved):
+        _walked(interleaved, cached=True)
+        data = interleaved.read_bytes()
+        interleaved.write_bytes(data[: data.index(b"end_events")])
+        with pytest.raises(DumpFormatError, match="unterminated event section"):
+            _walked(interleaved, cached=True)

@@ -36,6 +36,7 @@ from planeprof.model.aggregate import (
     aggregate_threads,
     profile_from_dump,
     profile_from_path,
+    rows_path,
     walk_stream,
 )
 from planeprof.reporting.exports import import_csv
@@ -136,12 +137,19 @@ class TestRun:
     def test_rerun_clears_stale_and_unfinished_dumps(self, scenario_file, tmp_path):
         out = tmp_path / "rerun"
         (out / "dumps").mkdir(parents=True)
-        for stale in ("ghost.dump", "ghost.dump.part"):
+        stale_files = (
+            "ghost.dump",
+            "ghost.dump.part",
+            "ghost.dump.rows",
+            "ghost.dump.rows.123.tmp",
+            "orchestrator.dump.rows",
+        )
+        for stale in stale_files:
             (out / "dumps" / stale).write_text("from an earlier run\n")
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == EXIT_OK
         names = {p.name for p in (out / "dumps").iterdir()}
         assert "orchestrator.dump" in names
-        assert not {n for n in names if n.startswith("ghost") or n.endswith(".part")}
+        assert not {n for n in names if n.startswith("ghost") or n.endswith((".part", ".rows"))}
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "nope.scenario")])
@@ -306,8 +314,12 @@ class TestAnalyze:
         assert main(["analyze", "--dumps", str(tmp_path / "void")]) == EXIT_CONFIG
 
     def test_torn_dump_is_config_error(self, run_dir, tmp_path, capsys):
+        # read first, so the torn copy carries a stale rows file of its victim
+        first = ["analyze", "--dumps", str(run_dir), "--out", str(tmp_path / "first.json")]
+        assert main(first) == EXIT_OK
         torn = shutil.copytree(run_dir / "dumps", tmp_path / "torn")
         victim = max(torn.glob("*.dump"), key=lambda p: p.stat().st_size)
+        assert rows_path(victim).is_file()
         data = victim.read_bytes()
         middle = data.index(b"\nE\t", len(data) // 2)
         victim.write_bytes(data[: middle + 4])  # "\nE\t" and the first byte of the wall delta
@@ -711,6 +723,133 @@ class TestReport:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {export}: ")
+
+
+_FLAG_KIND = {
+    "--scope": "line_table",
+    "--entity": "thread_table",
+    "--threshold": "hotspot_report",
+    "--rules": "hotspot_report",
+}
+_REPORT_KINDS = [k.value for k in ReportKind if k is not ReportKind.COMPARE_REPORT]
+
+
+class TestReportFlags:
+    """A flag that one report kind reads from dumps is refused elsewhere."""
+
+    @pytest.mark.parametrize(
+        "flag, kind",
+        [(f, k) for f in _FLAG_KIND for k in _REPORT_KINDS if k != _FLAG_KIND[f]]
+        + [(f, "export") for f in _FLAG_KIND],
+    )
+    def test_flag_of_another_kind_is_usage_error(self, run_dir, tmp_path, capsys, flag, kind):
+        value = {
+            "--scope": "host_node_main",
+            "--entity": "gc",
+            "--threshold": "2",
+            "--rules": str(tmp_path / "absent.rules"),
+        }[flag]
+        if kind == "export":
+            source = ["--export", str(tmp_path / "t.json"), "--kind", _FLAG_KIND[flag]]
+        else:
+            source = ["--dumps", str(run_dir), "--kind", kind]
+        out = tmp_path / "t.txt"
+        assert main(["report", *source, flag, value, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {flag} applies only to --kind {_FLAG_KIND[flag]} read from --dumps\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sources", [["--dumps", "--export"], []], ids=["both", "neither"])
+    def test_one_of_dumps_and_export(self, run_dir, tmp_path, sources):
+        args = [x for flag in sources for x in (flag, str(run_dir))]
+        with pytest.raises(SystemExit) as exc:
+            main(["report", *args, "--out", str(tmp_path / "t.txt")])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_hotspot_threshold_defaults_to_one_percent(self, run_dir, tmp_path):
+        base = ["report", "--dumps", str(run_dir), "--kind", "hotspot_report"]
+        assert main([*base, "--out", str(tmp_path / "a.txt")]) == EXIT_OK
+        assert main([*base, "--threshold", "1.0", "--out", str(tmp_path / "b.txt")]) == EXIT_OK
+        assert main([*base, "--threshold", "50", "--out", str(tmp_path / "c.txt")]) == EXIT_OK
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+        assert (tmp_path / "a.txt").read_text() != (tmp_path / "c.txt").read_text()
+
+
+def _unread_copy(run_dir: Path, dest: Path) -> Path:
+    """The run's dumps and index, without the rows files earlier reads left."""
+    return shutil.copytree(run_dir / "dumps", dest, ignore=shutil.ignore_patterns("*.rows"))
+
+
+_READS = {
+    "analyze": lambda d, out: ["analyze", "--dumps", d, "--out", out],
+    "compare": lambda d, out: ["compare", "--before", d, "--after", d, "--out", out],
+    "function_table": lambda d, out: ["report", "--dumps", d, "--out", out],
+    "thread_table": lambda d, out: [
+        "report", "--dumps", d, "--kind", "thread_table", "--entity", "gc", "--out", out
+    ],
+    "hotspot_report": lambda d, out: [
+        "report", "--dumps", d, "--kind", "hotspot_report", "--format", "csv", "--out", out
+    ],
+}
+
+
+class TestRowsFiles:
+    """The first read of a dump leaves its walk's rows; later reads use them."""
+
+    @pytest.mark.parametrize("command", sorted(_READS))
+    def test_only_the_first_read_walks(self, run_dir, tmp_path, monkeypatch, command):
+        dumps = _unread_copy(run_dir, tmp_path / "dumps")
+        names = sorted(p.name for p in dumps.glob("*.dump"))
+        walked = []
+        records = DumpStream.records
+
+        def counted(stream):
+            walked.append(stream.path.name)
+            return records(stream)
+
+        monkeypatch.setattr(DumpStream, "records", counted)
+        outputs = []
+        for read in ("first", "second", "third"):
+            out = tmp_path / read
+            assert main(_READS[command](str(dumps), str(out))) == EXIT_OK
+            outputs.append(out.read_bytes())
+        expected = ["gc.dump"] if command == "thread_table" else names
+        assert walked == expected
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert sorted(p.name for p in dumps.glob("*.rows")) == [n + ".rows" for n in expected]
+
+    def test_failed_write_changes_no_output(self, run_dir, tmp_path, monkeypatch):
+        dumps = _unread_copy(run_dir, tmp_path / "dumps")
+        listing = sorted(p.name for p in dumps.iterdir())
+        replace = os.replace
+
+        def refuse_rows(src, dst):
+            if str(dst).endswith(".rows"):
+                raise PermissionError(13, "refused", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_rows)
+        refused = tmp_path / "refused.json"
+        assert main(["analyze", "--dumps", str(dumps), "--out", str(refused)]) == EXIT_OK
+        assert sorted(p.name for p in dumps.iterdir()) == listing
+        monkeypatch.undo()
+        for read in ("walked", "from-rows"):
+            out = tmp_path / f"{read}.json"
+            assert main(["analyze", "--dumps", str(dumps), "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == refused.read_bytes()
+
+    def test_directory_readers_ignore_rows_files(self, run_dir, tmp_path):
+        dumps = _unread_copy(run_dir, tmp_path / "run" / "dumps")
+        index = (dumps / "index.txt").read_text()
+        assert main(["analyze", "--dumps", str(dumps), "--out", str(tmp_path / "f.json")]) == 0
+        names = sorted(p.name for p in dumps.glob("*.dump"))
+        assert sorted(p.name for p in dumps.glob("*.dump.rows")) == [n + ".rows" for n in names]
+        for where in (dumps, tmp_path / "run"):
+            assert [p.name for p in planeprof.cli._dump_paths(where)] == names
+        assert list(summary.read_dump_infos(dumps)) == names
+        summary.write_dump_index(dumps)
+        assert (dumps / "index.txt").read_text() == index
 
 
 class TestCompare:
